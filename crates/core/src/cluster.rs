@@ -18,6 +18,7 @@ use acc_fpga::{
 };
 use acc_host::{HostKernels, InterruptCosts, ModerationPolicy, StallSchedule};
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
 use acc_net::port::EgressPort;
 use acc_net::routing::Attachment as FabricAttachment;
@@ -34,7 +35,7 @@ use crate::drivers::coll::CollDriver;
 use crate::drivers::fft::FftDriver;
 use crate::drivers::sort::{SortDriver, SortVariant};
 use crate::drivers::{
-    Attachment, CardFailed, DriverProgress, FaultCtl, RecoveryCoordinator, RecoveryPolicy,
+    Attachment, CardFailed, Driver, FaultCtl, RecoveryCoordinator, RecoveryPolicy,
 };
 use crate::liveness::{HangCause, HangReport};
 use crate::report::FaultDiagnostics;
@@ -258,9 +259,11 @@ pub struct SortRunResult {
 }
 
 /// Everything wired up for one run.
-struct Wiring {
+struct Wiring<D> {
     sim: Simulation,
     drivers: Vec<ComponentId>,
+    /// The driver type registered under every id in `drivers`.
+    driver: PhantomData<D>,
     nics: Vec<ComponentId>,
     switches: Vec<ComponentId>,
     technology: Technology,
@@ -286,12 +289,9 @@ fn to_port_routes(
 }
 
 /// Build the sim, switch, and per-node network attachment for `spec`;
-/// `make_driver` turns each rank's attachment (plus its fault-handling
-/// configuration) into its driver.
-fn wire(
-    spec: &ClusterSpec,
-    make_driver: impl Fn(usize, Attachment, FaultCtl) -> DriverBox,
-) -> Wiring {
+/// `make_driver` turns each rank's attachment into its driver, which
+/// then gets the rank's fault-handling configuration.
+fn wire<D: Driver>(spec: &ClusterSpec, make_driver: impl Fn(usize, Attachment) -> D) -> Wiring<D> {
     let mut sim = Simulation::new(spec.seed);
     if spec.quiet {
         sim.set_quiet(true);
@@ -529,11 +529,8 @@ fn wire(
             policy,
             coordinator,
         };
-        match make_driver(rank, attachment, fault_ctl) {
-            DriverBox::Fft(d) => sim.register(driver_ids[rank], *d),
-            DriverBox::Sort(d) => sim.register(driver_ids[rank], *d),
-            DriverBox::Coll(d) => sim.register(driver_ids[rank], *d),
-        }
+        let driver = make_driver(rank, attachment).with_fault_ctl(fault_ctl);
+        sim.register(driver_ids[rank], driver);
     }
     // Trunk ports append after every host attachment, so both ends'
     // indices are computable up front: walk the canonical (sorted)
@@ -697,6 +694,7 @@ fn wire(
     Wiring {
         sim,
         drivers: driver_ids,
+        driver: PhantomData,
         nics: nic_ids,
         switches: switch_ids,
         technology: spec.technology,
@@ -705,7 +703,7 @@ fn wire(
     }
 }
 
-impl Wiring {
+impl<D: Driver> Wiring<D> {
     /// Run the simulation to completion under the deadline hierarchy's
     /// watchdog — **the** deadline-aware wrapper every production run
     /// goes through (acc-lint R6 bans raw `run()` elsewhere).
@@ -713,21 +711,12 @@ impl Wiring {
     /// Three hang shapes all land here as a structured [`HangReport`]:
     /// a watchdog abort (event budget, livelock, run deadline), and the
     /// quieter *deadlock* — the event queue drains while drivers still
-    /// wait on peers that will never send. `progress` reads one
-    /// driver's phase snapshot (the driver type is workload-specific).
-    fn run_to_completion(
-        &mut self,
-        hierarchy: &DeadlineHierarchy,
-        progress: impl Fn(&Simulation, ComponentId) -> DriverProgress,
-    ) -> Result<(), Box<HangReport>> {
+    /// wait on peers that will never send.
+    fn run_to_completion(&mut self, hierarchy: &DeadlineHierarchy) -> Result<(), Box<HangReport>> {
         let wd = hierarchy.watchdog();
         // acc-lint: allow(R6, reason = "this is the deadline-aware wrapper itself: the watchdog built two lines up bounds the run")
         let outcome = self.sim.run_guarded(&wd);
-        let ranks: Vec<DriverProgress> = self
-            .drivers
-            .iter()
-            .map(|&d| progress(&self.sim, d))
-            .collect();
+        let ranks: Vec<_> = self.ranks().map(D::progress).collect();
         match outcome {
             Ok(_) if ranks.iter().all(|r| r.done) => Ok(()),
             Ok(_) => {
@@ -809,14 +798,18 @@ impl Wiring {
             .sum()
     }
 
+    /// Every rank's driver, in rank order.
+    fn ranks(&self) -> impl Iterator<Item = &D> {
+        self.drivers.iter().map(|&d| self.sim.component::<D>(d))
+    }
+
     /// Assemble the fault telemetry after a run: retransmits from
     /// whichever stack did them, stall/reconfigure counters from the
-    /// drivers and cards, degradation and resume data from the callers.
-    fn fault_diagnostics(
-        &self,
-        degraded_nodes: u64,
-        resumed_from_phase: Option<u32>,
-    ) -> FaultDiagnostics {
+    /// drivers and cards, degradation and resume data from the drivers'
+    /// shared recovery state.
+    fn fault_diagnostics(&self) -> FaultDiagnostics {
+        let degraded_nodes = self.ranks().filter(|d| d.core().degraded()).count() as u64;
+        let resumed_from_phase = self.ranks().filter_map(|d| d.core().resumed_from()).max();
         let stats = self.sim.stats();
         let stalled_nodes = stats
             .counters()
@@ -871,13 +864,6 @@ impl Wiring {
     }
 }
 
-/// Type-erased driver hand-off from the closure to the registry.
-enum DriverBox {
-    Fft(Box<FftDriver>),
-    Sort(Box<SortDriver>),
-    Coll(Box<CollDriver>),
-}
-
 /// Run the 2D-FFT application on a `rows × rows` matrix.
 ///
 /// # Panics
@@ -902,38 +888,26 @@ pub fn try_run_fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<H
     let matrix = random_matrix(rows, spec.seed);
     let slabs = split_row_blocks(&matrix, spec.p);
     let kernels = HostKernels::athlon_1ghz();
-    let mut w = wire(&spec, |rank, attachment, fault_ctl| {
-        DriverBox::Fft(Box::new(
-            FftDriver::new(
-                rank,
-                spec.p,
-                rows,
-                slabs[rank].clone(),
-                attachment,
-                kernels.clone(),
-            )
-            .with_fault_ctl(fault_ctl),
-        ))
+    let mut w = wire(&spec, |rank, attachment| {
+        FftDriver::new(
+            rank,
+            spec.p,
+            rows,
+            slabs[rank].clone(),
+            attachment,
+            kernels.clone(),
+        )
     });
     let hierarchy = DeadlineHierarchy::for_run(&spec, &Workload::Fft { rows });
-    w.run_to_completion(&hierarchy, |sim, d| {
-        sim.component::<FftDriver>(d).progress()
-    })?;
+    w.run_to_completion(&hierarchy)?;
     let mut total_end = SimTime::ZERO;
     let mut start = SimTime::MAX;
     let mut compute = SimDuration::ZERO;
     let mut transpose = SimDuration::ZERO;
     let mut transpose_compute = SimDuration::ZERO;
     let mut transpose_comm = SimDuration::ZERO;
-    let mut degraded_nodes = 0u64;
-    let mut resumed_from: Option<u32> = None;
     let mut out_slabs: Vec<Matrix> = Vec::new();
-    for &d in &w.drivers {
-        let drv = w.sim.component::<FftDriver>(d);
-        if drv.degraded() {
-            degraded_nodes += 1;
-        }
-        resumed_from = resumed_from.max(drv.resumed_from());
+    for drv in w.ranks() {
         let t = &drv.timings;
         let done = t.done_at.expect("done");
         let began = t.started_at.expect("started");
@@ -990,7 +964,7 @@ pub fn try_run_fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<H
         switch_drops,
         protocol_cpu,
         interrupts,
-        faults: w.fault_diagnostics(degraded_nodes, resumed_from),
+        faults: w.fault_diagnostics(),
     })
 }
 
@@ -1089,25 +1063,22 @@ pub fn try_run_sort_custom(
         Technology::InicProtocol => SortVariant::ProtocolOnly,
     };
     let kernels = HostKernels::athlon_1ghz();
-    let mut w = wire(&spec, |rank, attachment, fault_ctl| {
-        let mut driver = SortDriver::new(
+    let mut w = wire(&spec, |rank, attachment| {
+        let driver = SortDriver::new(
             rank,
             spec.p,
             inputs[rank].clone(),
             variant,
             attachment,
             kernels.clone(),
-        )
-        .with_fault_ctl(fault_ctl);
-        if let Some(sp) = &splitters {
-            driver = driver.with_splitters(sp.clone());
+        );
+        match &splitters {
+            Some(sp) => driver.with_splitters(sp.clone()),
+            None => driver,
         }
-        DriverBox::Sort(Box::new(driver))
     });
     let hierarchy = DeadlineHierarchy::for_run(&spec, &Workload::Sort { total_keys });
-    w.run_to_completion(&hierarchy, |sim, d| {
-        sim.component::<SortDriver>(d).progress()
-    })?;
+    w.run_to_completion(&hierarchy)?;
     let mut total_end = SimTime::ZERO;
     let mut start = SimTime::MAX;
     let (mut bucket1, mut comm, mut bucket2, mut count) = (
@@ -1116,15 +1087,8 @@ pub fn try_run_sort_custom(
         SimDuration::ZERO,
         SimDuration::ZERO,
     );
-    let mut degraded_nodes = 0u64;
-    let mut resumed_from: Option<u32> = None;
     let mut outputs: Vec<Vec<u32>> = Vec::new();
-    for &d in &w.drivers {
-        let drv = w.sim.component::<SortDriver>(d);
-        if drv.degraded() {
-            degraded_nodes += 1;
-        }
-        resumed_from = resumed_from.max(drv.resumed_from());
+    for drv in w.ranks() {
         let t = &drv.timings;
         let done = t.done_at.expect("done");
         let began = t.started_at.expect("started");
@@ -1178,7 +1142,7 @@ pub fn try_run_sort_custom(
         switch_drops,
         protocol_cpu,
         interrupts,
-        faults: w.fault_diagnostics(degraded_nodes, resumed_from),
+        faults: w.fault_diagnostics(),
     })
 }
 
@@ -1443,42 +1407,30 @@ fn run_schedules(
         }
     }
     let kernels = HostKernels::athlon_1ghz();
-    let mut w = wire(spec, |rank, attachment, fault_ctl| {
-        DriverBox::Coll(Box::new(
-            CollDriver::new(
-                rank,
-                spec.p,
-                schedules[rank].clone(),
-                inputs[rank].clone(),
-                attachment,
-                kernels.clone(),
-                offload.as_ref().map(|plans| plans[rank].clone()),
-            )
-            .with_fault_ctl(fault_ctl),
-        ))
+    let mut w = wire(spec, |rank, attachment| {
+        CollDriver::new(
+            rank,
+            spec.p,
+            schedules[rank].clone(),
+            inputs[rank].clone(),
+            attachment,
+            kernels.clone(),
+            offload.as_ref().map(|plans| plans[rank].clone()),
+        )
     });
     let hierarchy = DeadlineHierarchy::for_run(spec, workload);
-    w.run_to_completion(&hierarchy, |sim, d| {
-        sim.component::<CollDriver>(d).progress()
-    })?;
+    w.run_to_completion(&hierarchy)?;
     let mut total_end = SimTime::ZERO;
     let mut start = SimTime::MAX;
     let mut comm = SimDuration::ZERO;
     let mut compute = SimDuration::ZERO;
     let mut results: Vec<Vec<f64>> = Vec::new();
-    let mut degraded_nodes = 0u64;
-    let mut resumed_from: Option<u32> = None;
-    for &d in &w.drivers {
-        let drv = w.sim.component::<CollDriver>(d);
+    for drv in w.ranks() {
         let t = &drv.timings;
         total_end = total_end.max(t.done_at.expect("done"));
         start = start.min(t.started_at.expect("started"));
         comm = comm.max(t.comm);
         compute = compute.max(t.compute);
-        if drv.degraded() {
-            degraded_nodes += 1;
-        }
-        resumed_from = resumed_from.max(drv.resumed_from());
         results.push(drv.result());
     }
     let verified = if spec.verify {
@@ -1496,7 +1448,7 @@ fn run_schedules(
         assert_eq!(w.switch_drops(), 0, "INIC collective must not drop");
     }
     w.final_audit();
-    let faults = w.fault_diagnostics(degraded_nodes, resumed_from);
+    let faults = w.fault_diagnostics();
     Ok(CollRunResult {
         total: total_end.since(start),
         comm,

@@ -32,47 +32,42 @@
 //! # Fault recovery
 //!
 //! The driver survives mid-schedule card deaths under every
-//! [`RecoveryPolicy`], mirroring the FFT/sort drivers' protocol:
+//! [`RecoveryPolicy`](super::RecoveryPolicy) through the shared
+//! recovery core (`drivers::handle`); what it adds is its data
+//! handling:
 //!
-//! * **Round checkpoints** — under [`RecoveryPolicy::Checkpointed`]
+//! * **Round checkpoints** — under [`RecoveryPolicy::Checkpointed`](super::RecoveryPolicy::Checkpointed)
 //!   every completed round snapshots the working state, so a resume
 //!   re-enters at the cluster-wide minimum completed round instead of
 //!   from scratch.
-//! * **Failover epochs** — every `CardFailed` bumps an epoch counter
-//!   on *every* rank (the broadcast is cluster-wide), and streams,
-//!   TCP channels and self-timers are epoch-namespaced, so pre-failure
-//!   traffic can never complete a post-failure round.
+//! * **Failover epochs** — streams and TCP channels are namespaced by
+//!   the core's failover epoch (round tags), so pre-failure traffic can
+//!   never complete a post-failure round.
 //! * **Mixed-technology rounds** — after a rank-local failover the
 //!   healthy ranks keep their cards and split each remaining round via
 //!   [`acc_coll::recovery::split_round`]: legs touching the dead rank
 //!   ride the fallback `TcpHostNic`, and a combined-mode fold whose
 //!   source died falls back to host arithmetic.
-//! * **Config-window parking** — a failure landing inside the 60 ms
-//!   bitstream load parks the resume until `InicConfigured` arrives,
-//!   exactly like the FFT driver.
+//! * **Full restart** — before abandoning a still-healthy card, this
+//!   driver tells it the peer is dead and aborts the in-flight stream
+//!   (see [`CollDriver`]'s `reset` hook), so the card's retransmit
+//!   backoff cannot outlive the run.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use acc_coll::plan::{ranges_elems, RecvSpec, Round};
 use acc_coll::recovery::{split_round, RoundLegs};
 use acc_coll::{bytes_to_f64s, f64s_to_bytes, OffloadPlan, RecvOp, Schedule};
 use acc_fpga::{
-    GatherKind, InicConfigure, InicConfigured, InicExpect, InicGatherComplete, InicRecover,
-    InicScatter, InicScatterDone, ScatterKind,
+    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicRecover, InicScatter,
+    InicScatterDone, ScatterKind,
 };
 use acc_host::HostKernels;
 use acc_proto::{TcpDelivered, TcpSend};
-use acc_sim::{Component, ComponentId, Ctx, SimDuration, SimTime};
+use acc_sim::{Component, Ctx, SimDuration, SimTime};
 
-use super::{
-    Attachment, CardFailed, Deferred, FaultCtl, RecoveryPolicy, RecoveryReport, ResumeAt,
-    RECOVERY_LATENCY,
-};
-
-/// Self event closing a round's host-compute charge window, tagged
-/// with the failover epoch that armed it (stale epochs are dropped).
-struct RoundChargeDone(u64);
+use super::{Attachment, Driver, DriverCore, DriverProgress};
 
 /// Timing record of one collective run.
 #[derive(Clone, Debug, Default)]
@@ -91,9 +86,7 @@ pub struct CollTimings {
 
 /// Per-node schedule interpreter.
 pub struct CollDriver {
-    label: String,
-    rank: usize,
-    attachment: Attachment,
+    core: DriverCore,
     kernels: HostKernels,
     schedule: Schedule,
     /// The pre-validated card datapath (INIC attachments only).
@@ -119,30 +112,9 @@ pub struct CollDriver {
     current_phase: &'static str,
     started: bool,
     done: bool,
-    /// Fault-handling configuration (stall windows, recovery policy,
-    /// coordinator). Default on clean runs.
-    fault_ctl: FaultCtl,
-    /// Failover epoch: bumped once per processed `CardFailed`, on every
-    /// rank, so streams/channels/timers from before a failure can never
-    /// satisfy a round issued after it.
-    epoch: u64,
-    /// Whether *this* rank abandoned its card for the fallback NIC.
-    failed_over: bool,
-    /// Ranks whose cards died (rank-local recovery only).
-    dead: BTreeSet<usize>,
     /// Round-level checkpoints: completed-round count → state snapshot.
     /// Armed only under the checkpointed policy with a coordinator.
     ckpts: BTreeMap<u32, Vec<f64>>,
-    /// Parked awaiting the coordinator's `ResumeAt`.
-    paused: bool,
-    /// Whether the card finished loading its bitstream (a resume that
-    /// beats `InicConfigured` parks in `pending_resume`).
-    configured: bool,
-    pending_resume: Option<ResumeAt>,
-    /// The round the last coordinated resume re-entered at.
-    resumed_from: Option<u32>,
-    /// Guards the cluster-wide `drivers_done` counter across restarts.
-    reported_done: bool,
     /// Timing decomposition.
     pub timings: CollTimings,
 }
@@ -180,9 +152,7 @@ impl CollDriver {
             "round index must fit the TCP channel id"
         );
         CollDriver {
-            label: format!("coll-driver{rank}"),
-            rank,
-            attachment,
+            core: DriverCore::new(format!("coll-driver{rank}"), rank, attachment),
             kernels,
             schedule,
             offload,
@@ -201,25 +171,9 @@ impl CollDriver {
             current_phase: "init",
             started: false,
             done: false,
-            fault_ctl: FaultCtl::default(),
-            epoch: 0,
-            failed_over: false,
-            dead: BTreeSet::new(),
             ckpts: BTreeMap::new(),
-            paused: false,
-            configured: false,
-            pending_resume: None,
-            resumed_from: None,
-            reported_done: false,
             timings: CollTimings::default(),
         }
-    }
-
-    /// Attach the fault-handling configuration (builder style).
-    #[must_use]
-    pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> CollDriver {
-        self.fault_ctl = ctl;
-        self
     }
 
     /// The rank's output slice of the final state, once done.
@@ -233,29 +187,8 @@ impl CollDriver {
         self.done
     }
 
-    /// Whether this rank abandoned its card for the commodity fallback.
-    pub fn degraded(&self) -> bool {
-        self.failed_over
-    }
-
-    /// The round the last coordinated resume re-entered at, if any.
-    pub fn resumed_from(&self) -> Option<u32> {
-        self.resumed_from
-    }
-
     fn phase_name(&self) -> &'static str {
         self.current_phase
-    }
-
-    /// Phase snapshot for the liveness layer.
-    pub fn progress(&self) -> super::DriverProgress {
-        super::DriverProgress {
-            rank: self.rank,
-            phase: self.phase_name(),
-            entered: self.phase_entered,
-            paused: self.paused,
-            done: self.done,
-        }
     }
 
     fn current_round(&self) -> &Round {
@@ -266,12 +199,12 @@ impl CollDriver {
     /// the bare round index, so its wire traffic is byte-identical to
     /// the pre-recovery engine.
     fn round_tag(&self) -> u64 {
-        let tag = self.epoch * (self.schedule.rounds.len() as u64 + 1) + self.round as u64;
+        let tag = self.core.epoch * (self.schedule.rounds.len() as u64 + 1) + self.round as u64;
         assert!(
             tag < u16::MAX as u64,
             "{}: epoch {} round {} overflows the channel id",
-            self.label,
-            self.epoch,
+            self.core.label,
+            self.core.epoch,
             self.round
         );
         tag
@@ -285,35 +218,20 @@ impl CollDriver {
         self.round_tag() as u16
     }
 
-    /// Whether round checkpoints are being captured.
-    fn ckpt_armed(&self) -> bool {
-        self.fault_ctl.coordinator.is_some()
-            && self.fault_ctl.policy == RecoveryPolicy::Checkpointed
-    }
-
-    /// Rounds this rank can prove complete: the resume point it reports
-    /// to the coordinator. Without checkpoints (rank-local policy) the
-    /// honest answer is 0 — a from-scratch restart.
-    fn completed_round(&self) -> u32 {
-        if self.done {
-            return self.schedule.rounds.len() as u32;
-        }
-        self.ckpts.keys().next_back().copied().unwrap_or(0)
-    }
-
     /// Advance past a completed round, snapshotting the state when
     /// checkpoints are armed.
     fn advance_round(&mut self) {
         self.round += 1;
-        if self.ckpt_armed() {
+        if self.core.ckpt_armed() {
             self.ckpts.insert(self.round as u32, self.state.clone());
         }
     }
 
-    fn begin(&mut self, ctx: &mut Ctx) {
-        self.timings.started_at = Some(ctx.now());
+    /// (Re)start the schedule at `self.round` from `state`.
+    fn enter(&mut self, state: Vec<f64>, ctx: &mut Ctx) {
+        self.timings.started_at.get_or_insert(ctx.now());
         self.started = true;
-        self.state = self.schedule.init_state(&self.input);
+        self.state = state;
         self.phase_entered = ctx.now();
         self.start_round(ctx);
     }
@@ -344,7 +262,7 @@ impl CollDriver {
                 continue;
             }
             self.round_started = ctx.now();
-            match &self.attachment {
+            match &self.core.attachment {
                 Attachment::Tcp { .. } => self.issue_tcp_round(&round, ctx),
                 Attachment::Inic { .. } => self.issue_inic_round(&round, ctx),
             }
@@ -361,13 +279,13 @@ impl CollDriver {
     fn charge(&mut self, ctx: &mut Ctx, t: SimDuration) {
         self.in_charge = true;
         self.charge_started = ctx.now();
-        ctx.self_in(t, RoundChargeDone(self.epoch));
+        self.core.timer_in(ctx, t, ());
     }
 
     // ---- host-TCP path -------------------------------------------------
 
     fn issue_tcp_round(&mut self, round: &Round, ctx: &mut Ctx) {
-        let (nic, macs) = match &self.attachment {
+        let (nic, macs) = match &self.core.attachment {
             Attachment::Tcp { nic, macs } => (*nic, macs.clone()),
             Attachment::Inic { .. } => unreachable!("TCP round on an INIC attachment"),
         };
@@ -387,7 +305,7 @@ impl CollDriver {
     }
 
     fn try_complete_tcp_round(&mut self, ctx: &mut Ctx) {
-        if self.done || !self.started || self.paused || self.in_charge || !self.is_tcp() {
+        if self.done || !self.started || self.core.paused || self.in_charge || !self.is_tcp() {
             return;
         }
         if self.round == self.schedule.rounds.len() {
@@ -414,7 +332,7 @@ impl CollDriver {
                 bytes.len(),
                 ranges_elems(&recv.ranges) * 8,
                 "{}: round {} message from rank {} over-delivered",
-                self.label,
+                self.core.label,
                 self.round,
                 recv.from
             );
@@ -427,7 +345,7 @@ impl CollDriver {
     }
 
     fn is_tcp(&self) -> bool {
-        matches!(self.attachment, Attachment::Tcp { .. })
+        matches!(self.core.attachment, Attachment::Tcp { .. })
     }
 
     // ---- INIC paths ----------------------------------------------------
@@ -440,15 +358,15 @@ impl CollDriver {
     /// The current round's transport partition. With no dead peers this
     /// reproduces the round exactly (everything on the card).
     fn current_legs(&self) -> RoundLegs {
-        split_round(self.current_round(), &self.dead, self.card_folds())
+        split_round(self.current_round(), &self.core.dead, self.card_folds())
     }
 
     fn issue_inic_round(&mut self, round: &Round, ctx: &mut Ctx) {
-        let (card, macs) = match &self.attachment {
+        let (card, macs) = match &self.core.attachment {
             Attachment::Inic { card, macs, .. } => (*card, macs.clone()),
             Attachment::Tcp { .. } => unreachable!("INIC round on a TCP attachment"),
         };
-        let legs = split_round(round, &self.dead, self.card_folds());
+        let legs = split_round(round, &self.core.dead, self.card_folds());
         let stream = self.stream();
         let mut data = Vec::new();
         let mut parts: Vec<(u32, usize)> = Vec::new();
@@ -463,7 +381,7 @@ impl CollDriver {
             let recv = &legs.card_recvs[0];
             let elems = ranges_elems(&recv.ranges);
             let own = f64s_to_bytes(&Schedule::gather(&recv.ranges, &self.state));
-            parts.push((self.rank as u32, own.len()));
+            parts.push((self.core.rank as u32, own.len()));
             data.extend_from_slice(&own);
             ctx.send_now(
                 card,
@@ -472,7 +390,7 @@ impl CollDriver {
                     kind: GatherKind::ReduceF64 { elems },
                     sources: vec![
                         (recv.from as u32, Some(elems * 8)),
-                        (self.rank as u32, Some(elems * 8)),
+                        (self.core.rank as u32, Some(elems * 8)),
                     ],
                 },
             );
@@ -516,13 +434,13 @@ impl CollDriver {
         }
         // Legs around dead peers ride the commodity fallback NIC.
         if legs.uses_tcp() {
-            let (fb_nic, fb_macs) = match &self.attachment {
+            let (fb_nic, fb_macs) = match &self.core.attachment {
                 Attachment::Inic {
                     fallback: Some(fb), ..
                 } => fb.clone(),
                 _ => panic!(
                     "{}: degraded round without a wired fallback path",
-                    self.label
+                    self.core.label
                 ),
             };
             let chan = self.chan();
@@ -538,7 +456,7 @@ impl CollDriver {
             }
             self.await_tcp = !legs.tcp_recvs.is_empty();
         }
-        if self.epoch == 0 {
+        if self.core.epoch == 0 {
             debug_assert!(
                 self.await_gather || self.await_scatter,
                 "a non-local round must touch the card"
@@ -559,7 +477,7 @@ impl CollDriver {
     /// Complete the fallback-TCP legs of the current INIC round, if all
     /// their bytes have arrived.
     fn try_complete_inic_tcp_legs(&mut self, ctx: &mut Ctx) {
-        if !self.await_tcp || self.done || self.paused || self.in_charge {
+        if !self.await_tcp || self.done || self.core.paused || self.in_charge {
             return;
         }
         let chan = self.chan();
@@ -583,7 +501,7 @@ impl CollDriver {
                 bytes.len(),
                 ranges_elems(&recv.ranges) * 8,
                 "{}: round {} fallback leg from rank {} over-delivered",
-                self.label,
+                self.core.label,
                 self.round,
                 recv.from
             );
@@ -597,12 +515,12 @@ impl CollDriver {
     }
 
     fn on_gather_complete(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
-        if self.epoch > 0 && (self.done || g.stream != self.stream() || !self.await_gather) {
+        if self.core.epoch > 0 && (self.done || g.stream != self.stream() || !self.await_gather) {
             // A pre-failover stream completing against a dead epoch.
             return;
         }
-        assert_eq!(g.stream, self.stream(), "{}: stale gather", self.label);
-        assert!(self.await_gather, "{}: unexpected gather", self.label);
+        assert_eq!(g.stream, self.stream(), "{}: stale gather", self.core.label);
+        assert!(self.await_gather, "{}: unexpected gather", self.core.label);
         self.await_gather = false;
         let legs = self.current_legs();
         let mut host_sum_elems = 0u64;
@@ -672,254 +590,139 @@ impl CollDriver {
         self.done = true;
         self.current_phase = "done";
         self.phase_entered = ctx.now();
-        if self.epoch == 0 {
+        if self.core.epoch == 0 {
             // Post-failover, bytes parked on dead-epoch channels are
             // expected leftovers; on a clean run they are a protocol bug.
             assert!(
                 self.rx.is_empty(),
                 "{}: leftover peer bytes at completion",
-                self.label
+                self.core.label
             );
         }
-        if !self.reported_done {
-            self.reported_done = true;
-            ctx.stats().counter("cluster", "drivers_done").inc();
-        }
+        self.core.report_done(ctx);
+    }
+}
+
+impl Driver for CollDriver {
+    /// One kind of charged window: the current round's host compute.
+    type Step = ();
+
+    fn core(&self) -> &DriverCore {
+        &self.core
     }
 
-    // ---- card-failure recovery ----------------------------------------
-
-    fn on_card_failed(&mut self, node: u32, ctx: &mut Ctx) {
-        match self.fault_ctl.coordinator {
-            None => self.full_restart_failover(node, ctx),
-            Some(coord) => self.rank_local_failover(node, coord, ctx),
-        }
+    fn core_mut(&mut self) -> &mut DriverCore {
+        &mut self.core
     }
 
-    /// Abandon the card and restart the whole schedule over the
-    /// fallback NIC (every rank does this, healthy cards included).
-    fn full_restart_failover(&mut self, node: u32, ctx: &mut Ctx) {
-        if self.failed_over {
-            return;
-        }
-        let (nic, macs) = match &self.attachment {
-            Attachment::Inic {
-                fallback: Some((nic, macs)),
-                ..
-            } => (*nic, macs.clone()),
-            Attachment::Inic { .. } => {
-                panic!("{}: card failure without a wired fallback path", self.label)
-            }
-            // Already on the commodity path: a card death elsewhere in
-            // the plan cannot degrade this rank further.
-            Attachment::Tcp { .. } => return,
-        };
-        // Before abandoning a still-healthy card, tell it the peer is
-        // dead and cancel the in-flight stream: otherwise its
-        // retransmit backoff into the void outlives the run deadline.
-        if let Attachment::Inic {
-            card, macs: own, ..
-        } = &self.attachment
-        {
-            if self.rank != node as usize {
-                let abort_stream = (self.await_gather || self.await_scatter).then(|| self.stream());
-                ctx.send_now(
-                    *card,
-                    InicRecover {
-                        dead: own[node as usize],
-                        abort_stream,
-                    },
-                );
-            }
-        }
-        ctx.stats().counter(&self.label, "card_failovers").inc();
-        self.failed_over = true;
-        self.epoch += 1;
-        self.attachment = Attachment::Tcp { nic, macs };
-        self.rx.clear();
+    fn progress(&self) -> DriverProgress {
+        self.core
+            .progress(self.phase_name(), self.phase_entered, self.done)
+    }
+
+    fn bitstream(&self) -> Bitstream {
+        let plan = self.offload.as_ref().expect("INIC attachment has a plan");
+        plan.bitstream.clone()
+    }
+
+    fn begin(&mut self, ctx: &mut Ctx) {
+        let state = self.schedule.init_state(&self.input);
+        self.enter(state, ctx);
+    }
+
+    /// Streams announced before the bump can never complete once the
+    /// peer set changed: drop the round's outstanding transfers.
+    fn abort_in_flight(&mut self) -> Option<u32> {
+        let stream = (self.await_gather || self.await_scatter).then(|| self.stream());
         self.await_gather = false;
         self.await_scatter = false;
         self.await_tcp = false;
         self.in_charge = false;
         self.pending_sum_elems = 0;
+        stream
+    }
+
+    /// Rounds this rank can prove complete. Without checkpoints
+    /// (rank-local policy) the honest answer is 0 — a from-scratch
+    /// restart.
+    fn completed_phase(&self) -> u32 {
+        if self.done {
+            return self.schedule.rounds.len() as u32;
+        }
+        self.ckpts.keys().next_back().copied().unwrap_or(0)
+    }
+
+    /// Unlike the FFT and sort drivers, a healthy rank first tells its
+    /// card the peer is dead and cancels the in-flight stream: otherwise
+    /// the abandoned card's retransmit backoff into the void outlives
+    /// the run deadline.
+    fn reset(&mut self, node: usize, ctx: &mut Ctx) {
+        let abort_stream = self.abort_in_flight();
+        if let Attachment::Inic { card, macs, .. } = &self.core.attachment {
+            if self.core.rank != node {
+                let dead = macs[node];
+                ctx.send_now(*card, InicRecover { dead, abort_stream });
+            }
+        }
+        self.rx.clear();
         self.ckpts.clear();
         self.done = false;
+        self.round = 0;
         let started = self.timings.started_at;
         self.timings = CollTimings::default();
-        self.timings.started_at = started.or(Some(ctx.now()));
-        self.round = 0;
-        self.state = self.schedule.init_state(&self.input);
-        self.current_phase = "init";
-        self.phase_entered = ctx.now();
-        self.started = true;
-        self.start_round(ctx);
+        self.timings.started_at = started;
     }
 
-    /// Rank-local failover: only the dead rank degrades; healthy ranks
-    /// purge the casualty from their cards, and everyone reports its
-    /// resumable round to the coordinator.
-    fn rank_local_failover(&mut self, node: u32, coord: ComponentId, ctx: &mut Ctx) {
-        let node_idx = node as usize;
-        if !self.dead.insert(node_idx) {
-            return;
-        }
-        // Streams announced before the bump can never complete once the
-        // peer set changed; tell the card which one to abort.
-        let abort_stream = (self.await_gather || self.await_scatter).then(|| self.stream());
-        self.epoch += 1;
-        self.paused = true;
-        self.await_gather = false;
-        self.await_scatter = false;
-        self.await_tcp = false;
-        self.in_charge = false;
-        self.pending_sum_elems = 0;
-        if self.rank == node_idx {
-            let (nic, macs) = match &self.attachment {
-                Attachment::Inic {
-                    fallback: Some(fb), ..
-                } => fb.clone(),
-                Attachment::Inic { .. } => {
-                    panic!("{}: card failure without a wired fallback path", self.label)
-                }
-                Attachment::Tcp { .. } => unreachable!("a TCP rank's card cannot die twice"),
-            };
-            ctx.stats().counter(&self.label, "card_failovers").inc();
-            self.failed_over = true;
-            self.attachment = Attachment::Tcp { nic, macs };
-        } else if let Attachment::Inic { card, macs, .. } = &self.attachment {
-            ctx.send_now(
-                *card,
-                InicRecover {
-                    dead: macs[node_idx],
-                    abort_stream,
-                },
-            );
-        }
-        ctx.send_in(
-            RECOVERY_LATENCY,
-            coord,
-            RecoveryReport {
-                rank: self.rank as u32,
-                round: self.epoch,
-                phase: self.completed_round(),
-            },
-        );
-    }
-
-    /// Coordinator verdict: every rank resumes from the cluster-wide
-    /// minimum completed round. Ranks that already finished rejoin —
-    /// peers re-executing earlier rounds need their messages, and the
-    /// lockstep determinism makes the re-execution bit-identical.
-    fn on_resume_at(&mut self, r: ResumeAt, ctx: &mut Ctx) {
-        if r.round != self.epoch {
-            return;
-        }
-        if !self.configured && matches!(self.attachment, Attachment::Inic { .. }) {
-            // The failure landed inside the configuration window: park
-            // the resume until the bitstream load completes.
-            self.pending_resume = Some(r);
-            return;
-        }
-        self.paused = false;
-        self.resumed_from = Some(r.phase);
-        ctx.stats().counter(&self.label, "phase_resumes").inc();
-        if r.phase as usize >= self.schedule.rounds.len() {
-            // Every rank had already completed the schedule; nothing to
-            // re-run.
-            return;
+    /// Every rank resumes from the cluster-wide minimum completed round.
+    /// Ranks that already finished rejoin — peers re-executing earlier
+    /// rounds need their messages, and the lockstep determinism makes
+    /// the re-execution bit-identical.
+    fn resume(&mut self, phase: u32, ctx: &mut Ctx) {
+        if phase as usize >= self.schedule.rounds.len() {
+            return; // every rank had already completed the schedule
         }
         self.done = false;
-        self.round = r.phase as usize;
-        self.state = if r.phase == 0 {
+        self.round = phase as usize;
+        let state = if phase == 0 {
             self.schedule.init_state(&self.input)
         } else {
             self.ckpts
-                .get(&r.phase)
+                .get(&phase)
                 .unwrap_or_else(|| {
                     panic!(
                         "{}: resume round {} without its checkpoint",
-                        self.label, r.phase
+                        self.core.label, phase
                     )
                 })
                 .clone()
         };
-        self.started = true;
-        if self.timings.started_at.is_none() {
-            self.timings.started_at = Some(ctx.now());
-        }
-        self.phase_entered = ctx.now();
-        self.start_round(ctx);
+        self.enter(state, ctx);
         // Degraded peers running ahead may have pre-delivered their
         // legs for the resumed round.
         self.try_complete_tcp_round(ctx);
         self.try_complete_inic_tcp_legs(ctx);
     }
-}
 
-impl Component for CollDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        // A stalled host defers everything it would have serviced.
-        let ev = match ev.downcast::<Deferred>() {
-            Ok(d) => d.0,
-            Err(ev) => ev,
-        };
-        if let Some(release) = self.fault_ctl.stalls.deferral(ctx.now()) {
-            ctx.stats().counter(&self.label, "stall_deferrals").inc();
-            ctx.self_in(release.since(ctx.now()), Deferred(ev));
-            return;
-        }
-        if ev.downcast_ref::<()>().is_some() {
-            match (&self.attachment, &self.offload) {
-                (Attachment::Inic { card, .. }, Some(plan)) => {
-                    let card = *card;
-                    ctx.send_now(
-                        card,
-                        InicConfigure {
-                            bitstream: plan.bitstream.clone(),
-                        },
-                    );
-                }
-                _ => self.begin(ctx),
-            }
-            return;
-        }
-        let ev = match ev.downcast::<CardFailed>() {
-            Ok(f) => {
-                self.on_card_failed(f.node, ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<ResumeAt>() {
-            Ok(r) => {
-                self.on_resume_at(*r, ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<InicConfigured>() {
-            Ok(cfg) => {
-                if self.failed_over {
-                    // The configuration completed after this rank had
-                    // already abandoned its card.
-                    return;
-                }
-                cfg.result.unwrap_or_else(|e| {
-                    panic!("{}: collective bitstream rejected: {e}", self.label)
-                });
-                self.configured = true;
-                if let Some(r) = self.pending_resume.take() {
-                    self.on_resume_at(r, ctx);
-                } else if !self.paused {
-                    self.begin(ctx);
-                }
-                return;
-            }
-            Err(ev) => ev,
-        };
+    fn on_step(&mut self, _charge: (), ctx: &mut Ctx) {
+        assert!(
+            self.in_charge,
+            "{}: stray charge completion",
+            self.core.label
+        );
+        self.in_charge = false;
+        self.timings.compute += ctx.now().since(self.charge_started);
+        self.advance_round();
+        self.start_round(ctx);
+        // A peer may have pre-delivered the next round.
+        self.try_complete_tcp_round(ctx);
+        self.try_complete_inic_tcp_legs(ctx);
+    }
+
+    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<TcpDelivered>() {
             Ok(d) => {
                 let src = self
+                    .core
                     .attachment
                     .resolve_src(d.peer)
                     .expect("delivery from an unknown peer");
@@ -934,48 +737,39 @@ impl Component for CollDriver {
             Err(ev) => ev,
         };
         let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => {
-                self.on_gather_complete(*g, ctx);
-                return;
-            }
+            Ok(g) => return self.on_gather_complete(*g, ctx),
             Err(ev) => ev,
         };
-        let ev = match ev.downcast::<InicScatterDone>() {
-            Ok(s) => {
-                if self.epoch > 0 && (self.done || s.stream != self.stream() || !self.await_scatter)
-                {
-                    // A pre-failover scatter completing against a dead
-                    // epoch.
-                    return;
-                }
-                assert_eq!(s.stream, self.stream(), "{}: stale scatter", self.label);
-                assert!(self.await_scatter, "{}: unexpected scatter", self.label);
-                self.await_scatter = false;
-                self.maybe_close_inic_round(ctx, 0);
-                return;
-            }
-            Err(ev) => ev,
+        let Some(s) = ev.downcast_ref::<InicScatterDone>() else {
+            panic!("{}: unknown event", self.core.label);
         };
-        if let Some(done) = ev.downcast_ref::<RoundChargeDone>() {
-            if done.0 != self.epoch {
-                // A charge window armed before a failover.
-                return;
-            }
-            assert!(self.in_charge, "{}: stray charge completion", self.label);
-            self.in_charge = false;
-            self.timings.compute += ctx.now().since(self.charge_started);
-            self.advance_round();
-            self.start_round(ctx);
-            // A peer may have pre-delivered the next round.
-            self.try_complete_tcp_round(ctx);
-            self.try_complete_inic_tcp_legs(ctx);
+        if self.core.epoch > 0 && (self.done || s.stream != self.stream() || !self.await_scatter) {
+            // A pre-failover scatter completing against a dead epoch.
             return;
         }
-        panic!("{}: unknown event", self.label);
+        assert_eq!(
+            s.stream,
+            self.stream(),
+            "{}: stale scatter",
+            self.core.label
+        );
+        assert!(
+            self.await_scatter,
+            "{}: unexpected scatter",
+            self.core.label
+        );
+        self.await_scatter = false;
+        self.maybe_close_inic_round(ctx, 0);
+    }
+}
+
+impl Component for CollDriver {
+    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+        super::handle(self, ev, ctx);
     }
 
     fn name(&self) -> &str {
-        &self.label
+        &self.core.label
     }
 
     fn wait_state(&self) -> Option<String> {
@@ -984,20 +778,16 @@ impl Component for CollDriver {
         }
         Some(format!(
             "rank {} in {} (round {}/{}, epoch {}, gather={}, scatter={}, tcp={}, charge={}{})",
-            self.rank,
+            self.core.rank,
             self.phase_name(),
             self.round,
             self.schedule.rounds.len(),
-            self.epoch,
+            self.core.epoch,
             self.await_gather,
             self.await_scatter,
             self.await_tcp,
             self.in_charge,
-            if self.paused {
-                ", parked for recovery resume"
-            } else {
-                ""
-            },
+            self.core.parked(),
         ))
     }
 }

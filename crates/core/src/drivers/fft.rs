@@ -17,7 +17,7 @@
 //!
 //! # Fault handling
 //!
-//! With a [`FaultCtl`] wired, the driver also models a host that can
+//! With a [`FaultCtl`](super::FaultCtl) wired, the driver also models a host that can
 //! stall (every event is deferred to the end of the stall window) and a
 //! collective that survives card deaths rank-locally: the dead rank
 //! degrades to its fallback `TcpHostNic` while healthy ranks keep the
@@ -26,27 +26,26 @@
 //! ranks' blocks over TCP and interleaves them into the card's slab.
 //! Each completed phase can checkpoint the slab so a failover resumes
 //! from the last phase every rank completed, negotiated through the
-//! [`RecoveryCoordinator`](super::RecoveryCoordinator).
+//! [`RecoveryCoordinator`](super::RecoveryCoordinator). The protocol
+//! itself lives in the shared recovery core (`drivers::handle`); this
+//! driver supplies only the slab handling around it.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use acc_algos::fft::{fft_in_place, Direction, Matrix};
 use acc_algos::transpose::{
     bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
 };
 use acc_fpga::{
-    Bitstream, GatherKind, InicConfigure, InicConfigured, InicExpect, InicGatherComplete, InicMode,
-    InicRecover, InicScatter, InicScatterDone, ScatterKind,
+    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicMode, InicScatter, InicScatterDone,
+    ScatterKind,
 };
 use acc_host::HostKernels;
 use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
 
-use super::{
-    Attachment, CardFailed, Deferred, FaultCtl, RecoveryPolicy, RecoveryReport, ResumeAt,
-    RECOVERY_LATENCY,
-};
+use super::{Attachment, Driver, DriverCore, DriverProgress};
 
 /// Where the state machine is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,13 +64,12 @@ enum Phase {
     Done,
 }
 
-/// Self events marking the end of charged compute. Each carries the
-/// epoch it was scheduled in: a card failover bumps the epoch and
-/// restarts the state machine, and compute timers from the abandoned
-/// attempt must not fire into the new one.
-struct FftComputeDone(u64);
-struct LocalTransposeDone(u64);
-struct PermuteDone(u64);
+/// Charged compute windows.
+pub(crate) enum Step {
+    FftCompute,
+    LocalTranspose,
+    Permute,
+}
 
 /// Timing record of one completed run, readable after `sim.run()`.
 #[derive(Clone, Debug, Default)]
@@ -93,12 +91,10 @@ pub struct FftTimings {
 
 /// The per-node FFT application driver.
 pub struct FftDriver {
-    label: String,
-    rank: usize,
+    core: DriverCore,
     p: usize,
     rows: usize,
     m: usize,
-    attachment: Attachment,
     kernels: HostKernels,
     slab: Matrix,
     phase: Phase,
@@ -126,32 +122,10 @@ pub struct FftDriver {
     /// Untouched copy of the input slab: `begin_fft` transforms `slab`
     /// in place, so a card-failure restart needs the original back.
     pristine: Matrix,
-    /// Restart epoch; bumped on card failover so stale self events die.
-    epoch: u64,
-    /// Whether this driver abandoned its INIC card and degraded to the
-    /// commodity fallback path.
-    failed_over: bool,
-    /// Fault-handling configuration (default when no plan is wired).
-    fault_ctl: FaultCtl,
-    /// Ranks whose cards died (rank-local recovery only).
-    dead: BTreeSet<usize>,
     /// Phase checkpoints: slab snapshots keyed by completed phase
     /// (1 = row FFTs #1, 2 = transpose #1, 3 = row FFTs #2). Captured
     /// only under [`RecoveryPolicy::Checkpointed`] with a coordinator.
     ckpts: BTreeMap<u32, Matrix>,
-    /// Parked between reporting a failure and the coordinator's resume.
-    paused: bool,
-    /// Whether the card finished loading its bitstream. A failover that
-    /// lands inside the configuration window must defer its resume
-    /// until the card is usable.
-    configured: bool,
-    /// A [`ResumeAt`] verdict received before `configured`; replayed
-    /// when the bitstream lands.
-    pending_resume: Option<ResumeAt>,
-    /// The checkpoint phase the last resume restarted from.
-    resumed_from: Option<u32>,
-    /// Whether this driver already counted itself in `drivers_done`.
-    reported_done: bool,
     /// Timings, filled as the run progresses.
     pub timings: FftTimings,
 }
@@ -170,12 +144,10 @@ impl FftDriver {
         assert_eq!(slab.rows(), rows / p, "slab height");
         assert_eq!(slab.cols(), rows, "slab width");
         FftDriver {
-            label: format!("fft-driver{rank}"),
-            rank,
+            core: DriverCore::new(format!("fft-driver{rank}"), rank, attachment),
             p,
             rows,
             m: rows / p,
-            attachment,
             kernels,
             pristine: slab.clone(),
             slab,
@@ -186,25 +158,9 @@ impl FftDriver {
             exchange_step: 0,
             early_gathers: BTreeMap::new(),
             raw_gather: None,
-            epoch: 0,
-            failed_over: false,
-            fault_ctl: FaultCtl::default(),
-            dead: BTreeSet::new(),
             ckpts: BTreeMap::new(),
-            paused: false,
-            configured: false,
-            pending_resume: None,
-            resumed_from: None,
-            reported_done: false,
             timings: FftTimings::default(),
         }
-    }
-
-    /// Attach fault-handling configuration (builder style).
-    #[must_use]
-    pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> FftDriver {
-        self.fault_ctl = ctl;
-        self
     }
 
     /// The node's final slab (the 2D FFT's row block) once done.
@@ -216,16 +172,6 @@ impl FftDriver {
     /// Whether the run completed.
     pub fn is_done(&self) -> bool {
         self.phase == Phase::Done
-    }
-
-    /// Whether the driver completed over the degraded fallback path.
-    pub fn degraded(&self) -> bool {
-        self.failed_over
-    }
-
-    /// The checkpoint phase the last failover resumed from, if any.
-    pub fn resumed_from(&self) -> Option<u32> {
-        self.resumed_from
     }
 
     /// Phase name for liveness attribution; the two transposes report
@@ -241,17 +187,6 @@ impl FftDriver {
         }
     }
 
-    /// Phase snapshot for the liveness layer.
-    pub fn progress(&self) -> super::DriverProgress {
-        super::DriverProgress {
-            rank: self.rank,
-            phase: self.phase_name(),
-            entered: self.phase_entered,
-            paused: self.paused,
-            done: self.is_done(),
-        }
-    }
-
     fn partition_bytes(&self) -> DataSize {
         DataSize::from_bytes((self.m * self.rows * 16) as u64)
     }
@@ -260,29 +195,12 @@ impl FftDriver {
     /// restarted exchange never collides with the aborted one's demux
     /// state (epoch 0 keeps the historical ids 1 and 2).
     fn stream(&self, which: u8) -> u32 {
-        (self.epoch as u32) * 8 + u32::from(which)
+        (self.core.epoch as u32) * 8 + u32::from(which)
     }
 
     /// TCP channel for transpose `which`, namespaced like [`stream`].
     fn chan(&self, which: u8) -> u16 {
-        (self.epoch as u16) * 4 + u16::from(which)
-    }
-
-    /// Whether phase checkpoints are being captured.
-    fn ckpt_armed(&self) -> bool {
-        self.fault_ctl.coordinator.is_some()
-            && self.fault_ctl.policy == RecoveryPolicy::Checkpointed
-    }
-
-    /// Highest phase this rank could resume from (4 = finished).
-    fn completed_phase(&self) -> u32 {
-        if self.phase == Phase::Done {
-            return 4;
-        }
-        (1..=3u32)
-            .rev()
-            .find(|k| self.ckpts.contains_key(k))
-            .unwrap_or(0)
+        (self.core.epoch as u16) * 4 + u16::from(which)
     }
 
     // ---- phase transitions ----
@@ -301,15 +219,15 @@ impl FftDriver {
         }
         // The charged time: one of the two Eq. 4 halves.
         let charge = self.kernels.fft_compute_time(self.rows, self.p) / 2;
-        ctx.self_in(charge, FftComputeDone(self.epoch));
+        self.core.timer_in(ctx, charge, Step::FftCompute);
     }
 
     fn on_fft_done(&mut self, ctx: &mut Ctx) {
         let Phase::Fft(which) = self.phase else {
-            panic!("{}: FftComputeDone outside Fft phase", self.label);
+            panic!("{}: FftComputeDone outside Fft phase", self.core.label);
         };
         self.timings.compute += ctx.now().since(self.phase_entered);
-        if self.ckpt_armed() {
+        if self.core.ckpt_armed() {
             let k = if which == 1 { 1 } else { 3 };
             self.ckpts.insert(k, self.slab.clone());
         }
@@ -319,7 +237,7 @@ impl FftDriver {
     fn begin_transpose(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase_entered = ctx.now();
         if matches!(
-            self.attachment.inic_mode(),
+            self.core.attachment.inic_mode(),
             None | Some(InicMode::ProtocolProcessor)
         ) {
             // Host performs the data manipulation (commodity NIC, or an
@@ -327,10 +245,10 @@ impl FftDriver {
             self.phase = Phase::LocalTranspose(which);
             self.subphase_entered = ctx.now();
             let charge = self.kernels.local_transpose_time(self.partition_bytes());
-            ctx.self_in(charge, LocalTransposeDone(self.epoch));
+            self.core.timer_in(ctx, charge, Step::LocalTranspose);
             return;
         }
-        match &self.attachment {
+        match &self.core.attachment {
             Attachment::Inic {
                 card,
                 macs,
@@ -342,7 +260,7 @@ impl FftDriver {
                 let fallback = fallback.clone();
                 let stream = self.stream(which);
                 self.phase = Phase::Exchange(which);
-                let dead = self.dead.clone();
+                let dead = self.core.dead.clone();
                 ctx.send_now(
                     card,
                     InicExpect {
@@ -398,13 +316,13 @@ impl FftDriver {
     /// pre-transposed blocks to the card for transmission.
     fn on_local_transpose_done(&mut self, ctx: &mut Ctx) {
         let Phase::LocalTranspose(which) = self.phase else {
-            panic!("{}: LocalTransposeDone out of phase", self.label);
+            panic!("{}: LocalTransposeDone out of phase", self.core.label);
         };
         self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
         self.phase = Phase::Exchange(which);
         if let Attachment::Inic {
             card, macs, mode, ..
-        } = &self.attachment
+        } = &self.core.attachment
         {
             debug_assert_eq!(*mode, InicMode::ProtocolProcessor);
             let card = *card;
@@ -415,7 +333,7 @@ impl FftDriver {
             // host — the card only packetizes.
             let mut data = Vec::with_capacity(self.p * block_bytes);
             for step in 0..self.p {
-                let q = (self.rank + step) % self.p;
+                let q = (self.core.rank + step) % self.p;
                 data.extend(slab_to_bytes(&extract_transposed_block(&self.slab, q)));
             }
             ctx.send_now(
@@ -449,11 +367,11 @@ impl FftDriver {
         if self.exchange_step >= self.p {
             return;
         }
-        let Attachment::Tcp { nic, macs } = &self.attachment else {
+        let Attachment::Tcp { nic, macs } = &self.core.attachment else {
             unreachable!("pairwise exchange only on the commodity path");
         };
         let nic = *nic;
-        let q = (self.rank + self.exchange_step) % self.p;
+        let q = (self.core.rank + self.exchange_step) % self.p;
         let peer = macs[q];
         let block = extract_transposed_block(&self.slab, q);
         ctx.send_now(
@@ -468,6 +386,7 @@ impl FftDriver {
 
     fn on_tcp_delivered(&mut self, d: TcpDelivered, ctx: &mut Ctx) {
         let src = self
+            .core
             .attachment
             .resolve_src(d.peer)
             .expect("delivery from unknown MAC");
@@ -475,10 +394,10 @@ impl FftDriver {
             .entry((src, d.chan))
             .or_default()
             .extend_from_slice(&d.data);
-        if self.paused {
+        if self.core.paused {
             return; // buffered; consumed after the coordinator resumes us
         }
-        if matches!(self.attachment, Attachment::Inic { .. }) {
+        if matches!(self.core.attachment, Attachment::Inic { .. }) {
             if let Phase::Exchange(which) = self.phase {
                 self.try_finish_inic_exchange(which, ctx);
             }
@@ -494,13 +413,13 @@ impl FftDriver {
         let Phase::Exchange(which) = self.phase else {
             return;
         };
-        if matches!(self.attachment, Attachment::Inic { .. }) {
+        if matches!(self.core.attachment, Attachment::Inic { .. }) {
             return; // completion is signalled by the card
         }
         let block_bytes = self.m * self.m * 16;
         let chan = self.chan(which);
         while self.exchange_step < self.p {
-            let from = (self.rank + self.p - self.exchange_step) % self.p;
+            let from = (self.core.rank + self.p - self.exchange_step) % self.p;
             let have = self
                 .rx
                 .get(&(from, chan))
@@ -515,13 +434,13 @@ impl FftDriver {
         self.phase = Phase::Permute(which);
         self.subphase_entered = ctx.now();
         let charge = self.kernels.final_permutation_time(self.partition_bytes());
-        ctx.self_in(charge, PermuteDone(self.epoch));
+        self.core.timer_in(ctx, charge, Step::Permute);
     }
 
     /// Commodity path: permutation charge done — assemble the new slab.
     fn on_permute_done(&mut self, ctx: &mut Ctx) {
         let Phase::Permute(which) = self.phase else {
-            panic!("{}: PermuteDone out of phase", self.label);
+            panic!("{}: PermuteDone out of phase", self.core.label);
         };
         self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
         let block_bytes = self.m * self.m * 16;
@@ -538,8 +457,8 @@ impl FftDriver {
             }
         } else {
             for s in 0..self.p {
-                let block = if s == self.rank {
-                    extract_transposed_block(&self.slab, self.rank)
+                let block = if s == self.core.rank {
+                    extract_transposed_block(&self.slab, s)
                 } else {
                     let buf = self.rx.get_mut(&(s, chan)).expect("checked complete");
                     let bytes: Vec<u8> = buf.drain(..block_bytes).collect();
@@ -558,7 +477,7 @@ impl FftDriver {
     /// blocks into the same slab (they arrive over TCP, pre-transposed
     /// by the degraded sender's host).
     fn try_finish_inic_exchange(&mut self, which: u8, ctx: &mut Ctx) {
-        if self.paused {
+        if self.core.paused {
             return;
         }
         let stream = self.stream(which);
@@ -567,7 +486,7 @@ impl FftDriver {
         }
         let block_bytes = self.m * self.m * 16;
         let chan = self.chan(which);
-        let ready = self.dead.iter().all(|&d| {
+        let ready = self.core.dead.iter().all(|&d| {
             self.rx
                 .get(&(d, chan))
                 .is_some_and(|b| b.len() >= block_bytes)
@@ -577,7 +496,7 @@ impl FftDriver {
         }
         let bytes = self.early_gathers.remove(&stream).expect("checked present");
         let mut out = bytes_to_slab(&bytes, self.m, self.rows);
-        let dead = self.dead.clone();
+        let dead = self.core.dead.clone();
         for &d in &dead {
             let buf = self.rx.get_mut(&(d, chan)).expect("checked ready");
             let block_bytes_vec: Vec<u8> = buf.drain(..block_bytes).collect();
@@ -588,11 +507,40 @@ impl FftDriver {
         self.finish_transpose(which, ctx);
     }
 
+    fn on_gather(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
+        if self.core.failed_over {
+            return; // stale card traffic from before the failure
+        }
+        if self.core.attachment.inic_mode() == Some(InicMode::ProtocolProcessor) {
+            match self.phase {
+                Phase::Exchange(which) if self.stream(which) == g.stream => {
+                    // Host still owes the final permutation.
+                    self.raw_gather =
+                        Some((g.data, g.bucket_bounds.expect("raw gather carries bounds")));
+                    self.phase = Phase::Permute(which);
+                    self.subphase_entered = ctx.now();
+                    let charge = self.kernels.final_permutation_time(self.partition_bytes());
+                    self.core.timer_in(ctx, charge, Step::Permute);
+                }
+                _ => {
+                    // Stale or early; hold it (a stale stream id can
+                    // never match a future one).
+                    self.early_gathers.insert(g.stream, g.data);
+                }
+            }
+            return;
+        }
+        self.early_gathers.insert(g.stream, g.data);
+        if let Phase::Exchange(which) = self.phase {
+            self.try_finish_inic_exchange(which, ctx);
+        }
+    }
+
     fn finish_transpose(&mut self, which: u8, ctx: &mut Ctx) {
         self.timings.transpose += ctx.now().since(self.phase_entered);
         match which {
             1 => {
-                if self.ckpt_armed() {
+                if self.core.ckpt_armed() {
                     self.ckpts.insert(2, self.slab.clone());
                 }
                 self.begin_fft(2, ctx);
@@ -600,48 +548,61 @@ impl FftDriver {
             2 => {
                 self.phase = Phase::Done;
                 self.timings.done_at = Some(ctx.now());
-                if !self.reported_done {
-                    self.reported_done = true;
-                    ctx.stats().counter("cluster", "drivers_done").inc();
-                }
+                self.core.report_done(ctx);
             }
             _ => unreachable!(),
         }
     }
+}
 
-    // ---- failure handling ----
+impl Driver for FftDriver {
+    type Step = Step;
 
-    fn on_card_failed(&mut self, node: u32, ctx: &mut Ctx) {
-        match self.fault_ctl.coordinator {
-            None => self.full_restart_failover(ctx),
-            Some(coord) => self.rank_local_failover(node, coord, ctx),
+    fn core(&self) -> &DriverCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut DriverCore {
+        &mut self.core
+    }
+
+    fn progress(&self) -> DriverProgress {
+        self.core
+            .progress(self.phase_name(), self.phase_entered, self.is_done())
+    }
+
+    fn bitstream(&self) -> Bitstream {
+        match self.core.attachment.inic_mode() {
+            Some(InicMode::ProtocolProcessor) => Bitstream::protocol_only(),
+            _ => Bitstream::fft_transpose(self.m),
         }
     }
 
-    /// The whole cluster degrades together (PR 1 behaviour, still used
-    /// under [`RecoveryPolicy::FullRestart`] and for the
-    /// protocol-processor mode, which has no card datapath worth
-    /// keeping): drop the dead card — even a healthy one, peers can no
-    /// longer reach every rank through the INIC path — and restart from
-    /// the pristine slab copy over the commodity fallback NIC.
-    fn full_restart_failover(&mut self, ctx: &mut Ctx) {
-        if self.failed_over {
-            return; // a second card death changes nothing
+    fn begin(&mut self, ctx: &mut Ctx) {
+        self.begin_fft(1, ctx);
+    }
+
+    fn abort_in_flight(&mut self) -> Option<u32> {
+        match self.phase {
+            Phase::Exchange(which) => Some(self.stream(which)),
+            _ => None,
         }
-        let (nic, macs) = match &self.attachment {
-            Attachment::Inic {
-                fallback: Some((nic, macs)),
-                ..
-            } => (*nic, macs.clone()),
-            _ => panic!("{}: card failure without a wired fallback path", self.label),
-        };
-        ctx.stats().counter(&self.label, "card_failovers").inc();
-        self.failed_over = true;
-        self.epoch += 1;
-        self.attachment = Attachment::Tcp { nic, macs };
-        // Discard all partial progress — `slab` was transformed in place
-        // by the aborted attempt, so restart from the pristine copy.
-        // Only the original start instant survives into the timings.
+    }
+
+    /// Highest phase this rank could resume from (4 = finished).
+    fn completed_phase(&self) -> u32 {
+        if self.phase == Phase::Done {
+            return 4;
+        }
+        (1..=3u32)
+            .rev()
+            .find(|k| self.ckpts.contains_key(k))
+            .unwrap_or(0)
+    }
+
+    /// `slab` was transformed in place by the aborted attempt, so the
+    /// restart begins again from the pristine copy.
+    fn reset(&mut self, _node: usize, _ctx: &mut Ctx) {
         self.slab = self.pristine.clone();
         self.rx.clear();
         self.exchange_step = 0;
@@ -651,78 +612,10 @@ impl FftDriver {
         self.timings = FftTimings::default();
         self.timings.started_at = started;
         self.phase = Phase::Init;
-        self.begin_fft(1, ctx);
     }
 
-    /// Rank-local degradation: only the dead rank abandons its card.
-    /// Every rank pauses, tells its card to forget the dead peer (and
-    /// abort the in-flight exchange stream, if any), and reports its
-    /// highest completed checkpoint to the coordinator, which answers
-    /// with the cluster-wide resume phase.
-    fn rank_local_failover(&mut self, node: u32, coord: acc_sim::ComponentId, ctx: &mut Ctx) {
-        let node_idx = node as usize;
-        if !self.dead.insert(node_idx) {
-            return; // duplicate death notice
-        }
-        // The stream to abort is the pre-bump one: that is what the
-        // card's demux and retransmit state still reference.
-        let abort_stream = match self.phase {
-            Phase::Exchange(which) => Some(self.stream(which)),
-            _ => None,
-        };
-        self.epoch += 1;
-        self.paused = true;
-        if self.rank == node_idx {
-            let (nic, macs) = match &self.attachment {
-                Attachment::Inic {
-                    fallback: Some((nic, macs)),
-                    ..
-                } => (*nic, macs.clone()),
-                _ => panic!("{}: card failure without a wired fallback path", self.label),
-            };
-            ctx.stats().counter(&self.label, "card_failovers").inc();
-            self.failed_over = true;
-            self.attachment = Attachment::Tcp { nic, macs };
-        } else if let Attachment::Inic { card, macs, .. } = &self.attachment {
-            // Healthy rank: keep the card, purge the dead peer from its
-            // retransmit machinery and abort the stranded stream.
-            let dead_mac = macs[node_idx];
-            ctx.send_now(
-                *card,
-                InicRecover {
-                    dead: dead_mac,
-                    abort_stream,
-                },
-            );
-        }
-        ctx.send_in(
-            RECOVERY_LATENCY,
-            coord,
-            RecoveryReport {
-                rank: self.rank as u32,
-                round: self.epoch,
-                phase: self.completed_phase(),
-            },
-        );
-    }
-
-    /// Coordinator verdict: restore the agreed checkpoint and resume.
-    fn on_resume_at(&mut self, r: ResumeAt, ctx: &mut Ctx) {
-        if r.round != self.epoch {
-            return; // a newer failure superseded this round
-        }
-        if !self.configured && matches!(self.attachment, Attachment::Inic { .. }) {
-            // The failure landed inside the card's configuration
-            // window. Every INIC phase needs a usable card, so the
-            // rank stays paused (buffering whatever arrives) until the
-            // bitstream lands, then replays this verdict.
-            self.pending_resume = Some(r);
-            return;
-        }
-        self.paused = false;
-        self.resumed_from = Some(r.phase);
-        ctx.stats().counter(&self.label, "phase_resumes").inc();
-        if r.phase >= 4 {
+    fn resume(&mut self, phase: u32, ctx: &mut Ctx) {
+        if phase >= 4 {
             return; // every rank had already finished
         }
         self.early_gathers.clear();
@@ -734,7 +627,7 @@ impl FftDriver {
                 .cloned()
                 .unwrap_or_else(|| panic!("resume phase {k} without its checkpoint"))
         };
-        match r.phase {
+        match phase {
             0 => {
                 self.slab = self.pristine.clone();
                 self.begin_fft(1, ctx);
@@ -754,124 +647,38 @@ impl FftDriver {
             _ => unreachable!(),
         }
     }
-}
 
-impl Component for FftDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        // Unwrap an event this host already deferred once.
-        let ev = match ev.downcast::<Deferred>() {
-            Ok(d) => d.0,
-            Err(ev) => ev,
-        };
-        // A stalled host services nothing: kernel completions, NIC
-        // interrupts and failure notices all wait for the window's end.
-        if let Some(release) = self.fault_ctl.stalls.deferral(ctx.now()) {
-            ctx.stats().counter(&self.label, "stall_deferrals").inc();
-            ctx.self_in(release.since(ctx.now()), Deferred(ev));
-            return;
+    fn on_step(&mut self, step: Step, ctx: &mut Ctx) {
+        match step {
+            Step::FftCompute => self.on_fft_done(ctx),
+            Step::LocalTranspose => self.on_local_transpose_done(ctx),
+            Step::Permute => self.on_permute_done(ctx),
         }
-        if ev.downcast_ref::<()>().is_some() {
-            match &self.attachment {
-                Attachment::Inic { card, mode, .. } => {
-                    let card = *card;
-                    let bitstream = match mode {
-                        InicMode::ProtocolProcessor => Bitstream::protocol_only(),
-                        _ => Bitstream::fft_transpose(self.m),
-                    };
-                    ctx.send_now(card, InicConfigure { bitstream });
-                }
-                Attachment::Tcp { .. } => self.begin_fft(1, ctx),
-            }
-            return;
-        }
-        if let Some(cf) = ev.downcast_ref::<CardFailed>() {
-            return self.on_card_failed(cf.node, ctx);
-        }
-        if let Some(r) = ev.downcast_ref::<ResumeAt>() {
-            return self.on_resume_at(*r, ctx);
-        }
-        let ev = match ev.downcast::<InicConfigured>() {
-            Ok(cfg) => {
-                if self.failed_over {
-                    return; // the card answered just before it died
-                }
-                cfg.result
-                    .unwrap_or_else(|e| panic!("{}: FFT bitstream rejected: {e}", self.label));
-                self.configured = true;
-                if let Some(r) = self.pending_resume.take() {
-                    // A failover interrupted the configuration; run
-                    // the deferred resume instead of a fresh start.
-                    self.on_resume_at(r, ctx);
-                    return;
-                }
-                self.begin_fft(1, ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        if let Some(FftComputeDone(epoch)) = ev.downcast_ref::<FftComputeDone>() {
-            if *epoch == self.epoch {
-                return self.on_fft_done(ctx);
-            }
-            return; // compute timer from an abandoned attempt
-        }
-        if let Some(LocalTransposeDone(epoch)) = ev.downcast_ref::<LocalTransposeDone>() {
-            if *epoch == self.epoch {
-                return self.on_local_transpose_done(ctx);
-            }
-            return;
-        }
-        if let Some(PermuteDone(epoch)) = ev.downcast_ref::<PermuteDone>() {
-            if *epoch == self.epoch {
-                return self.on_permute_done(ctx);
-            }
-            return;
-        }
+    }
+
+    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<TcpDelivered>() {
             Ok(d) => return self.on_tcp_delivered(*d, ctx),
             Err(ev) => ev,
         };
         let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => {
-                if self.failed_over {
-                    return; // stale card traffic from before the failure
-                }
-                if self.attachment.inic_mode() == Some(InicMode::ProtocolProcessor) {
-                    match self.phase {
-                        Phase::Exchange(which) if self.stream(which) == g.stream => {
-                            // Host still owes the final permutation.
-                            self.raw_gather =
-                                Some((g.data, g.bucket_bounds.expect("raw gather carries bounds")));
-                            self.phase = Phase::Permute(which);
-                            self.subphase_entered = ctx.now();
-                            let charge =
-                                self.kernels.final_permutation_time(self.partition_bytes());
-                            ctx.self_in(charge, PermuteDone(self.epoch));
-                        }
-                        _ => {
-                            // Stale or early; hold it (a stale stream id
-                            // can never match a future one).
-                            self.early_gathers.insert(g.stream, g.data);
-                        }
-                    }
-                    return;
-                }
-                self.early_gathers.insert(g.stream, g.data);
-                if let Phase::Exchange(which) = self.phase {
-                    self.try_finish_inic_exchange(which, ctx);
-                }
-                return;
-            }
+            Ok(g) => return self.on_gather(*g, ctx),
             Err(ev) => ev,
         };
         if ev.downcast_ref::<InicScatterDone>().is_some() {
             return; // send-side completion is informational here
         }
-        panic!("{}: unknown event", self.label);
+        panic!("{}: unknown event", self.core.label);
+    }
+}
+
+impl Component for FftDriver {
+    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+        super::handle(self, ev, ctx);
     }
 
     fn name(&self) -> &str {
-        &self.label
+        &self.core.label
     }
 
     fn wait_state(&self) -> Option<String> {
@@ -880,16 +687,12 @@ impl Component for FftDriver {
         }
         Some(format!(
             "rank {} in {} since {} (epoch {}, exchange step {}{})",
-            self.rank,
+            self.core.rank,
             self.phase_name(),
             self.phase_entered,
-            self.epoch,
+            self.core.epoch,
             self.exchange_step,
-            if self.paused {
-                ", parked for recovery resume"
-            } else {
-                ""
-            }
+            self.core.parked()
         ))
     }
 }

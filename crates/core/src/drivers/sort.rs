@@ -16,33 +16,30 @@
 //!   provide higher performance than having the host sort directly into
 //!   16 × N buckets".
 //!
-//! Fault handling mirrors [`FftDriver`](super::fft::FftDriver): stalled
-//! hosts defer every event, and under rank-local recovery a dead rank
-//! degrades to [`SortVariant::HostOnly`] over its fallback NIC while
-//! healthy ranks keep the card, carrying the dead ranks' buckets as
-//! length-prefixed TCP side streams next to the card exchange. The
-//! post-exchange state can be checkpointed so a later failure resumes
-//! from the exchange instead of re-running it.
+//! Fault handling runs in the shared recovery core (`drivers::handle`):
+//! stalled hosts defer every event, and under rank-local recovery a
+//! dead rank degrades to [`SortVariant::HostOnly`] over its fallback
+//! NIC while healthy ranks keep the card, carrying the dead ranks'
+//! buckets as length-prefixed TCP side streams next to the card
+//! exchange. The post-exchange state can be checkpointed so a later
+//! failure resumes from the exchange instead of re-running it.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use acc_algos::sort::{
     bucket_index, bucket_sort, bytes_to_keys, count_sort, destination_by_splitters,
     destination_rank, is_sorted, keys_to_bytes,
 };
 use acc_fpga::{
-    Bitstream, GatherKind, InicConfigure, InicConfigured, InicExpect, InicGatherComplete, InicMode,
-    InicRecover, InicScatter, InicScatterDone, ScatterKind,
+    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicMode, InicScatter, InicScatterDone,
+    ScatterKind,
 };
 use acc_host::HostKernels;
 use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
 
-use super::{
-    recv_buckets_for, Attachment, CardFailed, Deferred, FaultCtl, RecoveryPolicy, RecoveryReport,
-    ResumeAt, RECOVERY_LATENCY,
-};
+use super::{recv_buckets_for, Attachment, Driver, DriverCore, DriverProgress};
 
 /// How the receive-side bucketing is split between card and host.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -72,13 +69,12 @@ enum Phase {
     Done,
 }
 
-/// Self events marking the end of charged compute. Each carries the
-/// epoch it was scheduled in: a card failover bumps the epoch and
-/// restarts the state machine, and compute timers from the abandoned
-/// attempt must not fire into the new one.
-struct Bucket1Done(u64);
-struct Bucket2Done(u64);
-struct CountDone(u64);
+/// Charged compute windows.
+pub(crate) enum Step {
+    Bucket1,
+    Bucket2,
+    Count,
+}
 
 /// Snapshot of the post-exchange state, captured under
 /// [`RecoveryPolicy::Checkpointed`] so a later card failure resumes
@@ -116,11 +112,9 @@ pub struct SortTimings {
 
 /// The per-node integer-sort driver.
 pub struct SortDriver {
-    label: String,
-    rank: usize,
+    core: DriverCore,
     p: usize,
     variant: SortVariant,
-    attachment: Attachment,
     kernels: HostKernels,
     keys: Vec<u32>,
     /// Optional range splitters for the destination partitioning (the
@@ -147,30 +141,8 @@ pub struct SortDriver {
     /// INIC gather result (16 or N card buckets, concatenated).
     card_bucket_data: Option<(Vec<u8>, Vec<usize>)>,
     sorted: Vec<u32>,
-    /// Restart epoch; bumped on card failover so stale self events die.
-    epoch: u64,
-    /// Whether this driver abandoned its INIC card and restarted over
-    /// the commodity fallback path.
-    failed_over: bool,
-    /// Fault-handling configuration (default when no plan is wired).
-    fault_ctl: FaultCtl,
-    /// Ranks whose cards died (rank-local recovery only).
-    dead: BTreeSet<usize>,
     /// Post-exchange checkpoint, when armed and captured.
     ckpt1: Option<ExchangeCkpt>,
-    /// Parked between reporting a failure and the coordinator's resume.
-    paused: bool,
-    /// Whether the card finished loading its bitstream. A failover that
-    /// lands inside the configuration window must defer its resume
-    /// until the card is usable.
-    configured: bool,
-    /// A [`ResumeAt`] verdict received before `configured`; replayed
-    /// when the bitstream lands.
-    pending_resume: Option<ResumeAt>,
-    /// The checkpoint phase the last resume restarted from.
-    resumed_from: Option<u32>,
-    /// Whether this driver already counted itself in `drivers_done`.
-    reported_done: bool,
     /// Timing decomposition.
     pub timings: SortTimings,
 }
@@ -187,11 +159,9 @@ impl SortDriver {
     ) -> SortDriver {
         let recv_buckets = recv_buckets_for(keys.len() as u64);
         SortDriver {
-            label: format!("sort-driver{rank}"),
-            rank,
+            core: DriverCore::new(format!("sort-driver{rank}"), rank, attachment),
             p,
             variant,
-            attachment,
             kernels,
             keys,
             splitters: None,
@@ -205,16 +175,7 @@ impl SortDriver {
             tcp_pending: 0,
             card_bucket_data: None,
             sorted: Vec::new(),
-            epoch: 0,
-            failed_over: false,
-            fault_ctl: FaultCtl::default(),
-            dead: BTreeSet::new(),
             ckpt1: None,
-            paused: false,
-            configured: false,
-            pending_resume: None,
-            resumed_from: None,
-            reported_done: false,
             timings: SortTimings::default(),
         }
     }
@@ -225,13 +186,6 @@ impl SortDriver {
     pub fn with_splitters(mut self, splitters: Vec<u32>) -> SortDriver {
         assert_eq!(splitters.len() + 1, self.p, "need P-1 splitters");
         self.splitters = Some(splitters);
-        self
-    }
-
-    /// Attach fault-handling configuration (builder style).
-    #[must_use]
-    pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> SortDriver {
-        self.fault_ctl = ctl;
         self
     }
 
@@ -262,16 +216,6 @@ impl SortDriver {
         self.phase == Phase::Done
     }
 
-    /// Whether the driver completed over the degraded fallback path.
-    pub fn degraded(&self) -> bool {
-        self.failed_over
-    }
-
-    /// The checkpoint phase the last failover resumed from, if any.
-    pub fn resumed_from(&self) -> Option<u32> {
-        self.resumed_from
-    }
-
     /// Phase name for liveness attribution.
     fn phase_name(&self) -> &'static str {
         match self.phase {
@@ -284,17 +228,6 @@ impl SortDriver {
         }
     }
 
-    /// Phase snapshot for the liveness layer.
-    pub fn progress(&self) -> super::DriverProgress {
-        super::DriverProgress {
-            rank: self.rank,
-            phase: self.phase_name(),
-            entered: self.phase_entered,
-            paused: self.paused,
-            done: self.is_done(),
-        }
-    }
-
     fn local_bytes(&self) -> DataSize {
         DataSize::from_bytes(self.keys.len() as u64 * 4)
     }
@@ -303,36 +236,18 @@ impl SortDriver {
     /// restarted exchange never collides with the aborted one's demux
     /// state (epoch 0 keeps the historical id 1).
     fn stream(&self) -> u32 {
-        (self.epoch as u32) * 8 + 1
+        (self.core.epoch as u32) * 8 + 1
     }
 
     /// TCP channel for the exchange, namespaced like [`stream`].
     fn chan(&self) -> u16 {
-        (self.epoch as u16) * 4 + 1
-    }
-
-    /// Whether phase checkpoints are being captured.
-    fn ckpt_armed(&self) -> bool {
-        self.fault_ctl.coordinator.is_some()
-            && self.fault_ctl.policy == RecoveryPolicy::Checkpointed
-    }
-
-    /// Highest phase this rank could resume from (0 = start, 1 = after
-    /// the exchange, 2 = finished).
-    fn completed_phase(&self) -> u32 {
-        if self.phase == Phase::Done {
-            return 2;
-        }
-        if self.ckpt1.is_some() {
-            return 1;
-        }
-        0
+        (self.core.epoch as u16) * 4 + 1
     }
 
     /// Capture the post-exchange checkpoint (called at exchange
     /// completion, before any phase consumes the buffers).
     fn capture_ckpt(&mut self) {
-        if !self.ckpt_armed() {
+        if !self.core.ckpt_armed() {
             return;
         }
         self.ckpt1 = Some(ExchangeCkpt {
@@ -345,7 +260,7 @@ impl SortDriver {
 
     // ---- start ----
 
-    fn begin(&mut self, ctx: &mut Ctx) {
+    fn start(&mut self, ctx: &mut Ctx) {
         // A failover restart keeps the original start instant: the cost
         // of the aborted attempt is part of the degraded run's time.
         if self.timings.started_at.is_none() {
@@ -359,7 +274,7 @@ impl SortDriver {
                 let charge = self
                     .kernels
                     .bucket_sort_time(self.keys.len() as u64, self.local_bytes());
-                ctx.self_in(charge, Bucket1Done(self.epoch));
+                self.core.timer_in(ctx, charge, Step::Bucket1);
             }
             SortVariant::InicFull | SortVariant::InicTwoPhase => {
                 // Card does phase 1; hand the raw keys straight over.
@@ -370,7 +285,7 @@ impl SortDriver {
                     macs,
                     fallback,
                     ..
-                } = &self.attachment
+                } = &self.core.attachment
                 else {
                     panic!("INIC variant without INIC attachment");
                 };
@@ -378,7 +293,7 @@ impl SortDriver {
                 let macs = macs.clone();
                 let fallback = fallback.clone();
                 let k = self.card_recv_buckets();
-                let dead = self.dead.clone();
+                let dead = self.core.dead.clone();
                 let stream = self.stream();
                 ctx.send_now(
                     card,
@@ -460,7 +375,7 @@ impl SortDriver {
         if self.variant == SortVariant::ProtocolOnly {
             return self.raw_exchange_via_card(ctx);
         }
-        let Attachment::Tcp { nic, macs } = &self.attachment else {
+        let Attachment::Tcp { nic, macs } = &self.core.attachment else {
             panic!("HostOnly variant without TCP attachment");
         };
         let nic = *nic;
@@ -468,7 +383,7 @@ impl SortDriver {
         let chan = self.chan();
         let buckets = self.partition_keys();
         for step in 1..self.p {
-            let q = (self.rank + step) % self.p;
+            let q = (self.core.rank + step) % self.p;
             // Length-prefixed key stream: the receiver learns each
             // sender's (data-dependent) total from the first 8 bytes.
             let body = keys_to_bytes(&buckets[q]);
@@ -484,7 +399,7 @@ impl SortDriver {
             );
         }
         // Our own bucket stays home.
-        self.received_keys.push(buckets[self.rank].clone());
+        self.received_keys.push(buckets[self.core.rank].clone());
         self.check_exchange_complete(ctx);
     }
 
@@ -493,7 +408,7 @@ impl SortDriver {
     fn raw_exchange_via_card(&mut self, ctx: &mut Ctx) {
         let Attachment::Inic {
             card, macs, mode, ..
-        } = &self.attachment
+        } = &self.core.attachment
         else {
             panic!("ProtocolOnly variant without INIC attachment");
         };
@@ -505,7 +420,7 @@ impl SortDriver {
         let mut parts = vec![0usize; self.p];
         let mut data = Vec::with_capacity(self.keys.len() * 4);
         for step in 0..self.p {
-            let q = (self.rank + step) % self.p;
+            let q = (self.core.rank + step) % self.p;
             parts[q] = buckets[q].len() * 4;
             data.extend(keys_to_bytes(&buckets[q]));
         }
@@ -556,13 +471,14 @@ impl SortDriver {
 
     fn on_tcp_delivered(&mut self, d: TcpDelivered, ctx: &mut Ctx) {
         let src = self
+            .core
             .attachment
             .resolve_src(d.peer)
             .expect("delivery from unknown MAC");
         let chan_now = self.chan();
         let buf = self.rx.entry((src, d.chan)).or_default();
         buf.extend_from_slice(&d.data);
-        if self.paused || d.chan != chan_now {
+        if self.core.paused || d.chan != chan_now {
             // Stale epoch (the exchange it belonged to was abandoned) or
             // a paused host: leave it buffered, it is never consumed.
             return;
@@ -570,7 +486,7 @@ impl SortDriver {
         let Some(keys) = self.take_complete_stream(src, d.chan) else {
             return; // stream still in flight
         };
-        if matches!(self.attachment, Attachment::Inic { .. }) {
+        if matches!(self.core.attachment, Attachment::Inic { .. }) {
             // Mixed-technology side stream from a degraded peer.
             assert!(self.tcp_pending > 0, "unexpected TCP stream on INIC rank");
             self.mixed_tcp_keys.push(keys);
@@ -584,7 +500,7 @@ impl SortDriver {
     }
 
     fn check_exchange_complete(&mut self, ctx: &mut Ctx) {
-        if self.paused || self.phase != Phase::Exchange || self.streams_pending > 0 {
+        if self.core.paused || self.phase != Phase::Exchange || self.streams_pending > 0 {
             return;
         }
         if matches!(self.variant, SortVariant::HostOnly) {
@@ -614,7 +530,7 @@ impl SortDriver {
         };
         let working = DataSize::from_bytes(n_keys * 4);
         let charge = self.kernels.bucket_sort_time(n_keys, working);
-        ctx.self_in(charge, Bucket2Done(self.epoch));
+        self.core.timer_in(ctx, charge, Step::Bucket2);
     }
 
     fn on_bucket2_done(&mut self, ctx: &mut Ctx) {
@@ -672,7 +588,7 @@ impl SortDriver {
         }
         debug_assert!(is_sorted(&sorted));
         self.sorted = sorted;
-        ctx.self_in(charge, CountDone(self.epoch));
+        self.core.timer_in(ctx, charge, Step::Count);
     }
 
     fn on_count_done(&mut self, ctx: &mut Ctx) {
@@ -680,59 +596,116 @@ impl SortDriver {
         self.timings.count += ctx.now().since(self.phase_entered);
         self.phase = Phase::Done;
         self.timings.done_at = Some(ctx.now());
-        if !self.reported_done {
-            self.reported_done = true;
-            ctx.stats().counter("cluster", "drivers_done").inc();
-        }
+        self.core.report_done(ctx);
         // Every key we hold belongs to this rank.
         debug_assert!(match &self.splitters {
             Some(sp) => self
                 .sorted
                 .iter()
-                .all(|&k| destination_by_splitters(k, sp) == self.rank),
+                .all(|&k| destination_by_splitters(k, sp) == self.core.rank),
             None =>
                 self.p == 1
                     || self
                         .sorted
                         .iter()
-                        .all(|&k| destination_rank(k, self.p) == self.rank),
+                        .all(|&k| destination_rank(k, self.p) == self.core.rank),
         });
     }
 
     // ---- INIC path ----
 
-    fn on_card_failed(&mut self, node: u32, ctx: &mut Ctx) {
-        match self.fault_ctl.coordinator {
-            None => self.full_restart_failover(ctx),
-            Some(coord) => self.rank_local_failover(node, coord, ctx),
+    /// Card gather stored; finish the exchange once the mixed-technology
+    /// TCP side streams (if any) are also in.
+    fn try_finish_inic_exchange(&mut self, ctx: &mut Ctx) {
+        if self.core.paused || self.phase != Phase::Exchange {
+            return;
+        }
+        if self.card_bucket_data.is_none() || self.tcp_pending > 0 {
+            return;
+        }
+        self.timings.comm += ctx.now().since(self.phase_entered);
+        self.capture_ckpt();
+        match self.variant {
+            SortVariant::InicFull => self.begin_count(ctx),
+            SortVariant::InicTwoPhase | SortVariant::ProtocolOnly => self.begin_bucket2(ctx),
+            SortVariant::HostOnly => unreachable!(),
         }
     }
 
-    /// The whole cluster degrades together (PR 1 behaviour, still used
-    /// under [`RecoveryPolicy::FullRestart`] and for the
-    /// protocol-processor mode): drop the dead card — even a healthy
-    /// one, peers can no longer reach every rank through the INIC path —
-    /// and restart from the retained input keys over the commodity
-    /// fallback NIC.
-    fn full_restart_failover(&mut self, ctx: &mut Ctx) {
-        if self.failed_over {
-            return; // a second card death changes nothing
+    fn on_gather(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
+        if self.core.failed_over {
+            return; // stale card traffic from before the failure
         }
-        let (nic, macs) = match &self.attachment {
-            Attachment::Inic {
-                fallback: Some((nic, macs)),
-                ..
-            } => (*nic, macs.clone()),
-            _ => panic!("{}: card failure without a wired fallback path", self.label),
-        };
-        ctx.stats().counter(&self.label, "card_failovers").inc();
-        self.failed_over = true;
-        self.epoch += 1;
-        self.attachment = Attachment::Tcp { nic, macs };
+        if self.core.paused || self.phase != Phase::Exchange || g.stream != self.stream() {
+            return; // gather of an abandoned exchange
+        }
+        let bounds = g.bucket_bounds.expect("bucket/raw gather carries bounds");
+        self.card_bucket_data = Some((g.data, bounds));
+        self.try_finish_inic_exchange(ctx);
+    }
+}
+
+/// Group keys into `n` buckets by top bits, preserving order (the
+/// host-side phase-2 pass, shared by the commodity and prototype paths).
+fn bucket_sort_into_n(keys: &[u32], n: usize) -> Vec<Vec<u32>> {
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for &k in keys {
+        buckets[bucket_index(k, n)].push(k);
+    }
+    buckets
+}
+
+impl Driver for SortDriver {
+    type Step = Step;
+
+    fn core(&self) -> &DriverCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut DriverCore {
+        &mut self.core
+    }
+
+    fn progress(&self) -> DriverProgress {
+        self.core
+            .progress(self.phase_name(), self.phase_entered, self.is_done())
+    }
+
+    fn bitstream(&self) -> Bitstream {
+        match self.variant {
+            SortVariant::ProtocolOnly => Bitstream::protocol_only(),
+            _ => {
+                let send_k = self.p.next_power_of_two().max(2);
+                Bitstream::int_sort(send_k.max(16), self.card_recv_buckets())
+            }
+        }
+    }
+
+    fn begin(&mut self, ctx: &mut Ctx) {
+        self.start(ctx);
+    }
+
+    fn abort_in_flight(&mut self) -> Option<u32> {
+        let on_card = matches!(self.core.attachment, Attachment::Inic { .. });
+        (on_card && self.phase == Phase::Exchange).then(|| self.stream())
+    }
+
+    /// Highest phase this rank could resume from (0 = start, 1 = after
+    /// the exchange, 2 = finished).
+    fn completed_phase(&self) -> u32 {
+        if self.phase == Phase::Done {
+            return 2;
+        }
+        if self.ckpt1.is_some() {
+            return 1;
+        }
+        0
+    }
+
+    /// The input keys were never mutated, so the restart recomputes
+    /// from scratch over the host-only path.
+    fn reset(&mut self, _node: usize, _ctx: &mut Ctx) {
         self.variant = SortVariant::HostOnly;
-        // Discard every trace of the aborted exchange. The input keys
-        // were never mutated, so the restart recomputes from scratch;
-        // only the original start instant survives into the timings.
         self.rx.clear();
         self.received_keys.clear();
         self.card_bucket_data = None;
@@ -740,92 +713,23 @@ impl SortDriver {
         let started = self.timings.started_at;
         self.timings = SortTimings::default();
         self.timings.started_at = started;
-        self.begin(ctx);
     }
 
-    /// Rank-local degradation: only the dead rank abandons its card
-    /// (degrading to [`SortVariant::HostOnly`]); every rank pauses,
-    /// healthy ranks purge the dead peer from their cards, and all
-    /// report their highest completed checkpoint to the coordinator.
-    fn rank_local_failover(&mut self, node: u32, coord: acc_sim::ComponentId, ctx: &mut Ctx) {
-        let node_idx = node as usize;
-        if !self.dead.insert(node_idx) {
-            return; // duplicate death notice
-        }
-        // The stream to abort is the pre-bump one: that is what the
-        // card's demux and retransmit state still reference.
-        let abort_stream = if matches!(self.attachment, Attachment::Inic { .. })
-            && self.phase == Phase::Exchange
-        {
-            Some(self.stream())
-        } else {
-            None
-        };
-        self.epoch += 1;
-        self.paused = true;
-        if self.rank == node_idx {
-            let (nic, macs) = match &self.attachment {
-                Attachment::Inic {
-                    fallback: Some((nic, macs)),
-                    ..
-                } => (*nic, macs.clone()),
-                _ => panic!("{}: card failure without a wired fallback path", self.label),
-            };
-            ctx.stats().counter(&self.label, "card_failovers").inc();
-            self.failed_over = true;
-            self.attachment = Attachment::Tcp { nic, macs };
-            self.variant = SortVariant::HostOnly;
-        } else if let Attachment::Inic { card, macs, .. } = &self.attachment {
-            let dead_mac = macs[node_idx];
-            ctx.send_now(
-                *card,
-                InicRecover {
-                    dead: dead_mac,
-                    abort_stream,
-                },
-            );
-        }
-        ctx.send_in(
-            RECOVERY_LATENCY,
-            coord,
-            RecoveryReport {
-                rank: self.rank as u32,
-                round: self.epoch,
-                phase: self.completed_phase(),
-            },
-        );
-    }
-
-    /// Coordinator verdict: restore the agreed checkpoint and resume.
-    fn on_resume_at(&mut self, r: ResumeAt, ctx: &mut Ctx) {
-        if r.round != self.epoch {
-            return; // a newer failure superseded this round
-        }
-        if !self.configured && matches!(self.attachment, Attachment::Inic { .. }) {
-            // The failure landed inside the card's configuration
-            // window. The exchange needs a usable card, so the rank
-            // stays paused (buffering whatever arrives) until the
-            // bitstream lands, then replays this verdict.
-            self.pending_resume = Some(r);
-            return;
-        }
-        self.paused = false;
-        self.resumed_from = Some(r.phase);
-        ctx.stats().counter(&self.label, "phase_resumes").inc();
-        if r.phase >= 2 {
+    fn resume(&mut self, phase: u32, ctx: &mut Ctx) {
+        if phase >= 2 {
             return; // every rank had already finished
         }
         self.card_bucket_data = None;
         self.sorted.clear();
-        match r.phase {
+        match phase {
             0 => {
                 self.received_keys.clear();
                 self.mixed_tcp_keys.clear();
                 self.tcp_pending = 0;
-                if self.failed_over {
+                if self.core.failed_over {
                     self.variant = SortVariant::HostOnly;
                 }
-                self.begin(ctx);
+                self.start(ctx);
             }
             1 => {
                 let ck = self
@@ -848,149 +752,37 @@ impl SortDriver {
         }
     }
 
-    /// Card gather stored; finish the exchange once the mixed-technology
-    /// TCP side streams (if any) are also in.
-    fn try_finish_inic_exchange(&mut self, ctx: &mut Ctx) {
-        if self.paused || self.phase != Phase::Exchange {
-            return;
-        }
-        if self.card_bucket_data.is_none() || self.tcp_pending > 0 {
-            return;
-        }
-        self.timings.comm += ctx.now().since(self.phase_entered);
-        self.capture_ckpt();
-        match self.variant {
-            SortVariant::InicFull => self.begin_count(ctx),
-            SortVariant::InicTwoPhase | SortVariant::ProtocolOnly => self.begin_bucket2(ctx),
-            SortVariant::HostOnly => unreachable!(),
+    fn on_step(&mut self, step: Step, ctx: &mut Ctx) {
+        match step {
+            Step::Bucket1 => self.on_bucket1_done(ctx),
+            Step::Bucket2 => self.on_bucket2_done(ctx),
+            Step::Count => self.on_count_done(ctx),
         }
     }
 
-    fn on_gather(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
-        if self.paused || self.phase != Phase::Exchange || g.stream != self.stream() {
-            return; // gather of an abandoned exchange
-        }
-        let bounds = g.bucket_bounds.expect("bucket/raw gather carries bounds");
-        self.card_bucket_data = Some((g.data, bounds));
-        self.try_finish_inic_exchange(ctx);
-    }
-}
-
-/// Group keys into `n` buckets by top bits, preserving order (the
-/// host-side phase-2 pass, shared by the commodity and prototype paths).
-fn bucket_sort_into_n(keys: &[u32], n: usize) -> Vec<Vec<u32>> {
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &k in keys {
-        buckets[bucket_index(k, n)].push(k);
-    }
-    buckets
-}
-
-impl Component for SortDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        // Unwrap an event this host already deferred once.
-        let ev = match ev.downcast::<Deferred>() {
-            Ok(d) => d.0,
-            Err(ev) => ev,
-        };
-        // A stalled host services nothing until the window ends.
-        if let Some(release) = self.fault_ctl.stalls.deferral(ctx.now()) {
-            ctx.stats().counter(&self.label, "stall_deferrals").inc();
-            ctx.self_in(release.since(ctx.now()), Deferred(ev));
-            return;
-        }
-        if ev.downcast_ref::<()>().is_some() {
-            match (&self.attachment, self.variant) {
-                (Attachment::Inic { card, .. }, SortVariant::ProtocolOnly) => {
-                    let card = *card;
-                    ctx.send_now(
-                        card,
-                        InicConfigure {
-                            bitstream: Bitstream::protocol_only(),
-                        },
-                    );
-                }
-                (Attachment::Inic { card, .. }, v) => {
-                    assert_ne!(v, SortVariant::HostOnly);
-                    let card = *card;
-                    let send_k = self.p.next_power_of_two().max(2);
-                    let recv_k = self.card_recv_buckets();
-                    ctx.send_now(
-                        card,
-                        InicConfigure {
-                            bitstream: Bitstream::int_sort(send_k.max(16), recv_k),
-                        },
-                    );
-                }
-                (Attachment::Tcp { .. }, SortVariant::HostOnly) => self.begin(ctx),
-                _ => panic!("{}: attachment/variant mismatch", self.label),
-            }
-            return;
-        }
-        if let Some(cf) = ev.downcast_ref::<CardFailed>() {
-            return self.on_card_failed(cf.node, ctx);
-        }
-        if let Some(r) = ev.downcast_ref::<ResumeAt>() {
-            return self.on_resume_at(*r, ctx);
-        }
-        let ev = match ev.downcast::<InicConfigured>() {
-            Ok(cfg) => {
-                if self.failed_over {
-                    return; // the card answered just before it died
-                }
-                cfg.result
-                    .unwrap_or_else(|e| panic!("{}: sort bitstream rejected: {e}", self.label));
-                self.configured = true;
-                if let Some(r) = self.pending_resume.take() {
-                    // A failover interrupted the configuration; run
-                    // the deferred resume instead of a fresh start.
-                    self.on_resume_at(r, ctx);
-                    return;
-                }
-                self.begin(ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        if let Some(Bucket1Done(epoch)) = ev.downcast_ref::<Bucket1Done>() {
-            if *epoch == self.epoch {
-                return self.on_bucket1_done(ctx);
-            }
-            return; // compute timer from an abandoned attempt
-        }
-        if let Some(Bucket2Done(epoch)) = ev.downcast_ref::<Bucket2Done>() {
-            if *epoch == self.epoch {
-                return self.on_bucket2_done(ctx);
-            }
-            return;
-        }
-        if let Some(CountDone(epoch)) = ev.downcast_ref::<CountDone>() {
-            if *epoch == self.epoch {
-                return self.on_count_done(ctx);
-            }
-            return;
-        }
+    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<TcpDelivered>() {
             Ok(d) => return self.on_tcp_delivered(*d, ctx),
             Err(ev) => ev,
         };
         let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => {
-                if self.failed_over {
-                    return; // stale card traffic from before the failure
-                }
-                return self.on_gather(*g, ctx);
-            }
+            Ok(g) => return self.on_gather(*g, ctx),
             Err(ev) => ev,
         };
         if ev.downcast_ref::<InicScatterDone>().is_some() {
             return;
         }
-        panic!("{}: unknown event", self.label);
+        panic!("{}: unknown event", self.core.label);
+    }
+}
+
+impl Component for SortDriver {
+    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+        super::handle(self, ev, ctx);
     }
 
     fn name(&self) -> &str {
-        &self.label
+        &self.core.label
     }
 
     fn wait_state(&self) -> Option<String> {
@@ -999,17 +791,13 @@ impl Component for SortDriver {
         }
         Some(format!(
             "rank {} in {} since {} (epoch {}, {} card streams + {} tcp streams pending{})",
-            self.rank,
+            self.core.rank,
             self.phase_name(),
             self.phase_entered,
-            self.epoch,
+            self.core.epoch,
             self.streams_pending,
             self.tcp_pending,
-            if self.paused {
-                ", parked for recovery resume"
-            } else {
-                ""
-            }
+            self.core.parked()
         ))
     }
 }

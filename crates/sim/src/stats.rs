@@ -1,4 +1,4 @@
-//! Statistics collection: counters, gauges, histograms and time series.
+//! Statistics collection: counters, gauges and time series.
 //!
 //! Keys are `(scope, name)` string pairs — scope is usually a component
 //! name such as `"nic3"` or `"switch"`. Cheap enough for simulation-rate
@@ -103,68 +103,6 @@ impl Series {
     /// Maximum sample value (0.0 for an empty series).
     pub fn max(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).fold(0.0_f64, f64::max)
-    }
-}
-
-/// A fixed-boundary histogram over `f64` samples.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Create with ascending bucket upper bounds; an implicit overflow
-    /// bucket catches values above the last bound.
-    ///
-    /// # Panics
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let n = bounds.len();
-        Histogram {
-            bounds,
-            counts: vec![0; n + 1],
-            total: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += v;
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of all samples (0.0 if none).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 }
 
@@ -351,23 +289,6 @@ mod tests {
         assert_eq!(s.mean(), 2.0);
         assert_eq!(s.max(), 3.0);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        for v in [0.5, 5.0, 50.0, 500.0, 0.1] {
-            h.record(v);
-        }
-        assert_eq!(h.counts(), &[2, 1, 1, 1]);
-        assert_eq!(h.total(), 5);
-        assert!((h.mean() - 111.12).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn histogram_rejects_bad_bounds() {
-        Histogram::new(vec![1.0, 1.0]);
     }
 
     #[test]

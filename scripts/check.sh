@@ -26,8 +26,11 @@ echo "== acc-verify --schedules --smoke (static collective-schedule proofs, p <=
 # without running the engine. The nightly job extends this to p=4096.
 ./target/release/acc-verify --schedules --smoke --max-p 64 --quiet
 
-echo "== cargo test"
-cargo test -q
+echo "== cargo test --workspace"
+# --workspace: a bare `cargo test` runs only the umbrella package's
+# tests; the member crates' suites (hang detection, hang minimization,
+# campaign determinism, ...) would otherwise gate nothing.
+cargo test --workspace -q
 
 echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps

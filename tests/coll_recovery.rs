@@ -76,32 +76,54 @@ fn every_cell_survives_a_card_kill_under_every_policy() {
     }
 }
 
-/// A kill landing inside the 60 ms configuration window: the resume is
-/// parked until `InicConfigured` and the run still completes correctly
-/// with the survivors' cards intact.
+/// A kill landing inside the 60 ms configuration window, for every
+/// driver: the resume is parked until `InicConfigured` and the run
+/// still completes correctly with the survivors' cards intact. The
+/// late instants (59.60-60.05 ms, 50 us apart) put the resume verdict
+/// on either side of the bitstream landing, so a driver that starts on
+/// `InicConfigured` while parked without a verdict is caught.
 #[test]
 fn config_window_kill_parks_the_resume_until_configured() {
-    for at_ms in [1u64, 30] {
-        let plan = FaultPlan::new(0xAB5E).with(FaultEvent::CardFailure {
-            node: 2,
-            at: ms(at_ms),
-        });
-        let spec = ClusterSpec::new(P, Technology::InicIdeal).with_fault_plan(plan);
-        let outcome =
-            RunRequest::collective(spec, CollectiveOp::AllReduce, Algorithm::Ring, ELEMS).execute();
-        assert!(
-            !outcome.is_hung(),
-            "config-window kill must not hang:\n{:?}",
-            outcome.hang()
-        );
-        let r = outcome.into_coll();
-        assert!(r.verified);
-        assert_eq!(r.faults.degraded_nodes, 1);
-        assert_eq!(
-            r.faults.resumed_from_phase,
-            Some(0),
-            "nothing completed before the kill: resume from round 0"
-        );
+    let request = |workload: &str, spec| match workload {
+        "fft 64" => RunRequest::fft(spec, 64),
+        "sort 2^14" => RunRequest::sort(spec, 1 << 14),
+        _ => RunRequest::collective(spec, CollectiveOp::AllReduce, Algorithm::Ring, 1024),
+    };
+    let early = [1_000u64, 30_000];
+    let late = (0..10u64).map(|i| 59_600 + 50 * i);
+    for name in ["fft 64", "sort 2^14", "allreduce ring 1024"] {
+        for at_us in early.into_iter().chain(late.clone()) {
+            let plan = FaultPlan::new(0xAB5E).with(FaultEvent::CardFailure {
+                node: 2,
+                at: SimTime::ZERO + SimDuration::from_micros(at_us),
+            });
+            let spec = ClusterSpec::new(P, Technology::InicIdeal).with_fault_plan(plan);
+            let outcome = request(name, spec).execute();
+            assert!(
+                !outcome.is_hung(),
+                "{name}, kill at {at_us} us must not hang:\n{:?}",
+                outcome.hang()
+            );
+            assert!(outcome.verified(), "{name}, kill at {at_us} us: wrong data");
+            let faults = match outcome {
+                RunOutcome::Fft(r) => r.faults,
+                RunOutcome::Sort(r) => r.faults,
+                RunOutcome::Coll(r) => r.faults,
+                other => panic!("{name}: unexpected outcome {other:?}"),
+            };
+            assert_eq!(faults.degraded_nodes, 1, "{name}, kill at {at_us} us");
+            assert!(
+                faults.resumed_from_phase.is_some(),
+                "{name}, kill at {at_us} us: the coordinator must resume the run"
+            );
+            if early.contains(&at_us) {
+                assert_eq!(
+                    faults.resumed_from_phase,
+                    Some(0),
+                    "{name}: nothing completed before the kill: resume from phase 0"
+                );
+            }
+        }
     }
 }
 

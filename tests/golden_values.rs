@@ -9,6 +9,9 @@
 use acc::coll::{Algorithm, CollectiveOp};
 use acc::core::cluster::{run_collective, run_fft, run_sort, ClusterSpec, Technology};
 use acc::core::model::{FftModel, SortModel};
+use acc::core::RecoveryPolicy;
+use acc::sim::{SimDuration, SimTime};
+use acc_chaos::{FaultEvent, FaultPlan};
 
 #[test]
 fn analytic_models_are_pinned() {
@@ -33,23 +36,17 @@ fn simulated_scenarios_are_pinned() {
     let sort_inic = run_sort(ClusterSpec::new(4, Technology::InicIdeal), 1 << 16);
     assert!(fft_inic.verified && fft_gige.verified && sort_inic.verified);
     // If any of these change, regenerate EXPERIMENTS.md.
-    let golden = [
-        ("fft inic-ideal p4 n64", fft_inic.total.as_ps()),
-        ("fft gigabit p4 n64", fft_gige.total.as_ps()),
-        ("sort inic-ideal p4 2^16", sort_inic.total.as_ps()),
-    ];
-    // Determinism: the same runs repeated give identical totals.
-    let fft_inic2 = run_fft(ClusterSpec::new(4, Technology::InicIdeal), 64);
-    assert_eq!(golden[0].1, fft_inic2.total.as_ps());
-    // Sanity envelope: totals are in the right decade (ms scale), so a
-    // units regression (ns↔ps) cannot pass silently.
-    for (name, ps) in golden {
-        let ms = ps as f64 / 1e9;
-        assert!(
-            (0.05..100.0).contains(&ms),
-            "{name}: {ms} ms out of envelope"
-        );
-    }
+    assert_eq!(
+        fft_inic.total.as_ps(),
+        1_187_879_754,
+        "fft inic-ideal p4 n64"
+    );
+    assert_eq!(fft_gige.total.as_ps(), 3_317_776_996, "fft gigabit p4 n64");
+    assert_eq!(
+        sort_inic.total.as_ps(),
+        2_915_325_717,
+        "sort inic-ideal p4 2^16"
+    );
 }
 
 #[test]
@@ -70,24 +67,101 @@ fn simulated_collectives_are_pinned() {
         256,
     );
     assert!(ring_inic.verified && rd_gige.verified);
-    // Determinism: repeating the run reproduces the total exactly.
-    let ring_inic2 = run_collective(
-        ClusterSpec::new(4, Technology::InicIdeal),
-        CollectiveOp::AllReduce,
-        Algorithm::Ring,
-        8192,
+    assert_eq!(
+        ring_inic.total.as_ps(),
+        3_757_111_770,
+        "allreduce ring inic-ideal p4 8192"
     );
-    assert_eq!(ring_inic.total.as_ps(), ring_inic2.total.as_ps());
-    // Sanity envelope (ms scale) so a units regression cannot hide.
-    for (name, ps) in [
-        ("allreduce ring inic-ideal p4 8192", ring_inic.total.as_ps()),
-        ("allreduce rd gigabit p4 256", rd_gige.total.as_ps()),
-    ] {
-        let ms = ps as f64 / 1e9;
-        assert!(
-            (0.05..100.0).contains(&ms),
-            "{name}: {ms} ms out of envelope"
-        );
+    assert_eq!(
+        rd_gige.total.as_ps(),
+        392_091_820,
+        "allreduce rd gigabit p4 256"
+    );
+}
+
+/// Card-death cells: p=4 ideal INIC, node 1's card killed at 1 ms
+/// (inside the 60 ms bitstream load), under every recovery policy.
+/// Pins each cell's total, degraded-rank count and resume phase, so
+/// any drift in the shared recovery protocol is visible.
+#[test]
+fn card_death_recovery_is_pinned() {
+    let spec = |policy| {
+        let kill = FaultEvent::CardFailure {
+            node: 1,
+            at: SimTime::ZERO + SimDuration::from_millis(1),
+        };
+        ClusterSpec::new(4, Technology::InicIdeal)
+            .with_fault_plan(FaultPlan::new(0x601D).with(kill))
+            .with_recovery_policy(policy)
+    };
+    // (policy, workload, total ps, degraded ranks, resumed-from phase)
+    let golden = [
+        (RecoveryPolicy::FullRestart, "fft", 3_317_776_996, 4, None),
+        (RecoveryPolicy::FullRestart, "sort", 3_801_910_811, 4, None),
+        (
+            RecoveryPolicy::FullRestart,
+            "allreduce",
+            8_322_561_581,
+            4,
+            None,
+        ),
+        (RecoveryPolicy::RankLocal, "fft", 61_172_223_368, 1, Some(0)),
+        (
+            RecoveryPolicy::RankLocal,
+            "sort",
+            62_172_257_811,
+            1,
+            Some(0),
+        ),
+        (
+            RecoveryPolicy::RankLocal,
+            "allreduce",
+            65_224_603_490,
+            1,
+            Some(0),
+        ),
+        (
+            RecoveryPolicy::Checkpointed,
+            "fft",
+            61_172_223_368,
+            1,
+            Some(0),
+        ),
+        (
+            RecoveryPolicy::Checkpointed,
+            "sort",
+            62_172_257_811,
+            1,
+            Some(0),
+        ),
+        (
+            RecoveryPolicy::Checkpointed,
+            "allreduce",
+            65_224_603_490,
+            1,
+            Some(0),
+        ),
+    ];
+    for (policy, workload, total_ps, degraded, resumed) in golden {
+        let (verified, total, faults) = match workload {
+            "fft" => {
+                let r = run_fft(spec(policy), 64);
+                (r.verified, r.total, r.faults)
+            }
+            "sort" => {
+                let r = run_sort(spec(policy), 1 << 16);
+                (r.verified, r.total, r.faults)
+            }
+            _ => {
+                let r =
+                    run_collective(spec(policy), CollectiveOp::AllReduce, Algorithm::Ring, 8192);
+                (r.verified, r.total, r.faults)
+            }
+        };
+        assert!(verified, "{policy:?} {workload}: wrong data");
+        assert_eq!(total.as_ps(), total_ps, "{policy:?} {workload}: total");
+        assert_eq!(faults.degraded_nodes, degraded, "{policy:?} {workload}");
+        assert_eq!(faults.resumed_from_phase, resumed, "{policy:?} {workload}");
     }
 }
 
