@@ -34,7 +34,7 @@ use acc_algos::transpose::{
     bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
 };
 use acc_net::port::EgressPort;
-use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PortTxDone};
+use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PayloadView, PortTxDone};
 use acc_proto::{packetize, InicPacket, StreamDemux, INIC_HEADER, INIC_PAYLOAD};
 use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime};
 
@@ -598,7 +598,7 @@ impl InicCard {
 
     // ---- scatter (send) path ----
 
-    fn on_scatter(&mut self, scatter: InicScatter, ctx: &mut Ctx) {
+    fn on_scatter(&mut self, mut scatter: InicScatter, ctx: &mut Ctx) {
         {
             let bs = self
                 .bitstream
@@ -666,23 +666,21 @@ impl InicCard {
         // Scatter data is streamed, never resident: only a FIFO's worth
         // of packets occupies card memory at any instant, so no
         // reservation is taken against the device's memory budget.
+        // Packets that carry the host's bytes untransformed are views
+        // into this one buffer.
+        let data = PayloadView::new(std::mem::take(&mut scatter.data));
         let p = scatter.dests.len();
         let chunks: Vec<(Option<MacAddr>, InicPacket)> = match &scatter.kind {
-            ScatterKind::TransposeBlocks { m } => self.plan_transpose_scatter(&scatter, *m, p),
+            ScatterKind::TransposeBlocks { m } => {
+                self.plan_transpose_scatter(&scatter, &data, *m, p)
+            }
             ScatterKind::BucketKeys { p: kp, splitters } => {
                 assert_eq!(*kp, p, "bucket fan-out must match dests");
-                let splitters = splitters.clone();
-                self.plan_bucket_scatter(&scatter, p, splitters.as_deref())
+                self.plan_bucket_scatter(&scatter, &data, p, splitters.as_deref())
             }
-            ScatterKind::Raw { parts } => {
-                let parts = parts.clone();
-                self.plan_raw_scatter(&scatter, &parts, p)
-            }
-            ScatterKind::Broadcast => self.plan_broadcast_scatter(&scatter, p),
-            ScatterKind::Unicast { parts } => {
-                let parts = parts.clone();
-                self.plan_unicast_scatter(&scatter, &parts)
-            }
+            ScatterKind::Raw { parts } => self.plan_raw_scatter(&scatter, &data, parts, p),
+            ScatterKind::Broadcast => self.plan_broadcast_scatter(&scatter, &data, p),
+            ScatterKind::Unicast { parts } => self.plan_unicast_scatter(&scatter, &data, parts),
         };
         let broadcast = matches!(scatter.kind, ScatterKind::Broadcast);
         let n = chunks.len();
@@ -705,14 +703,15 @@ impl InicCard {
     fn plan_transpose_scatter(
         &self,
         scatter: &InicScatter,
+        data: &[u8],
         m: usize,
         p: usize,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
         let elem = 16;
-        let total_elems = scatter.data.len() / elem;
+        let total_elems = data.len() / elem;
         let rows = total_elems / m;
         assert_eq!(rows, m * p, "slab shape inconsistent with dests");
-        let slab = bytes_to_slab(&scatter.data, m, rows);
+        let slab = bytes_to_slab(data, m, rows);
         let mut out = Vec::new();
         // Destinations in ring-schedule order: start with our own block
         // (it never touches the wire), then (rank+1), (rank+2), …
@@ -725,7 +724,7 @@ impl InicCard {
             } else {
                 Some(scatter.dests[q])
             };
-            for pkt in packetize(self.my_rank, scatter.stream, &bytes) {
+            for pkt in packetize(self.my_rank, scatter.stream, bytes) {
                 out.push((dest, pkt));
             }
         }
@@ -738,10 +737,11 @@ impl InicCard {
     fn plan_bucket_scatter(
         &self,
         scatter: &InicScatter,
+        data: &[u8],
         p: usize,
         splitters: Option<&[u32]>,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let keys = bytes_to_keys(&scatter.data);
+        let keys = bytes_to_keys(data);
         let mut staging: Vec<Vec<u32>> = vec![Vec::new(); p];
         let mut offsets: Vec<u32> = vec![0; p];
         let keys_per_pkt = INIC_PAYLOAD / 4;
@@ -762,7 +762,7 @@ impl InicCard {
                 nack: false,
                 ack: false,
                 busy: false,
-                data: bytes,
+                data: bytes.into(),
             };
             offsets[q] += pkt.data.len() as u32;
             let dest = if q == self.my_rank as usize {
@@ -797,6 +797,7 @@ impl InicCard {
     fn plan_raw_scatter(
         &self,
         scatter: &InicScatter,
+        data: &PayloadView,
         parts: &[usize],
         p: usize,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
@@ -805,7 +806,7 @@ impl InicCard {
         for step in 0..p {
             let q = (self.my_rank as usize + step) % p;
             let len = parts[q];
-            let segment = &scatter.data[offset..offset + len];
+            let segment = data.subview(offset, offset + len);
             offset += len;
             let local = q == self.my_rank as usize;
             if local && len == 0 {
@@ -818,7 +819,7 @@ impl InicCard {
                 out.push((dest, pkt));
             }
         }
-        assert_eq!(offset, scatter.data.len(), "raw parts did not consume data");
+        assert_eq!(offset, data.len(), "raw parts did not consume data");
         out
     }
 
@@ -829,12 +830,13 @@ impl InicCard {
     fn plan_unicast_scatter(
         &self,
         scatter: &InicScatter,
+        data: &PayloadView,
         parts: &[(u32, usize)],
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
         let mut out = Vec::new();
         let mut offset = 0usize;
         for &(q, len) in parts {
-            let segment = &scatter.data[offset..offset + len];
+            let segment = data.subview(offset, offset + len);
             offset += len;
             let dest = if q == self.my_rank {
                 None
@@ -845,11 +847,7 @@ impl InicCard {
                 out.push((dest, pkt));
             }
         }
-        assert_eq!(
-            offset,
-            scatter.data.len(),
-            "unicast parts did not consume data"
-        );
+        assert_eq!(offset, data.len(), "unicast parts did not consume data");
         out
     }
 
@@ -859,9 +857,10 @@ impl InicCard {
     fn plan_broadcast_scatter(
         &self,
         scatter: &InicScatter,
+        data: &PayloadView,
         p: usize,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let pkts = packetize(self.my_rank, scatter.stream, &scatter.data);
+        let pkts = packetize(self.my_rank, scatter.stream, data.clone());
         let mut out = Vec::with_capacity(pkts.len() * p);
         for pkt in pkts {
             for step in 0..p {
@@ -1083,7 +1082,7 @@ impl InicCard {
         let bytes = DataSize::from_bytes(frame.payload.len() as u64);
         let t1 = self.ports.net_in(ctx.now(), bytes);
         let t2 = self.xform_recv.reserve(t1, bytes);
-        let pkt = match InicPacket::decode(&frame.payload) {
+        let pkt = match InicPacket::decode(frame.payload) {
             Ok(pkt) => pkt,
             // Corrupted on the wire: drop it; the sender's timeout (or
             // the receiver's gap NACK) recovers the payload. Without

@@ -38,12 +38,15 @@
 //!   The wrapper itself, and micro-simulations that provably terminate
 //!   (bounded ablation probes), carry allow annotations.
 //! * **R7** — no deep payload copies (`.to_vec()`, `Vec::from`,
-//!   `.clone()` on a `Vec<u8>`-typed buffer) inside the acc-net/acc-sim
-//!   hot-path modules. PR 8's zero-copy forwarding holds because a
-//!   frame's payload is a refcounted `PayloadView`; cloning the *view*
-//!   is a refcount bump and stays legal, materializing the bytes is the
-//!   regression this rule kills. The view's own explicit copy API
-//!   carries justified allows.
+//!   `.clone()` on a `Vec<u8>`-typed buffer, `.copy_from_slice` /
+//!   `.extend_from_slice` of a buffer rather than of a computed header
+//!   field) inside the acc-net/acc-sim hot-path modules and the INIC
+//!   codec. Zero-copy forwarding holds because a frame's payload and an
+//!   INIC packet's data are refcounted `PayloadView`s; cloning the
+//!   *view* is a refcount bump and stays legal, materializing the bytes
+//!   is the regression this rule kills. The view's own explicit copy
+//!   API and the codec's two copies (encode, stream reassembly) carry
+//!   justified allows.
 //! * **R8** — wire-codec encode/decode field symmetry in acc-proto:
 //!   every header byte an encode-family fn (`encode`/`try_encode`)
 //!   writes must be read back by the paired `decode` in the same
@@ -679,10 +682,10 @@ impl CrateSymbols {
     }
 }
 
-/// The hot-path modules R7 governs: the zero-copy forwarding plane
-/// (PR 8). `frame.rs` is included deliberately — the `PayloadView`
-/// definition itself must justify each of its materializing escape
-/// hatches with an allow.
+/// The hot-path modules R7 governs: the zero-copy forwarding plane and
+/// the INIC codec whose packet data are views into it. `frame.rs` is
+/// included deliberately — the `PayloadView` definition itself must
+/// justify each of its materializing escape hatches with an allow.
 const R7_HOT_MODULES: &[&str] = &[
     "crates/net/src/switch.rs",
     "crates/net/src/port.rs",
@@ -692,6 +695,7 @@ const R7_HOT_MODULES: &[&str] = &[
     "crates/net/src/routing.rs",
     "crates/sim/src/engine.rs",
     "crates/sim/src/event.rs",
+    "crates/proto/src/inic_wire.rs",
 ];
 
 /// Crates whose structs model simulated components with queues (R9).
@@ -910,8 +914,9 @@ pub fn analyze_source_with(
 // ---------------------------------------------------------------------------
 
 /// The deep-copy pattern `code` contains, if any: `.to_vec()`,
-/// `Vec::from(...)`, or `.clone()` whose receiver's trailing identifier
-/// is a crate-known `Vec<u8>` payload field.
+/// `Vec::from(...)`, `.copy_from_slice`/`.extend_from_slice` of a
+/// buffer place, or `.clone()` whose receiver's trailing identifier is
+/// a crate-known `Vec<u8>` payload field.
 fn r7_deep_copy(code: &str, payload: &CrateSymbols) -> Option<String> {
     for at in word_occurrences(code, "to_vec") {
         let preceded = code[..at].trim_end().ends_with('.');
@@ -931,6 +936,32 @@ fn r7_deep_copy(code: &str, payload: &CrateSymbols) -> Option<String> {
                  forward the PayloadView (refcount bump) instead"
                     .to_string(),
             );
+        }
+    }
+    for name in ["copy_from_slice", "extend_from_slice"] {
+        for at in word_occurrences(code, name) {
+            if !code[..at].trim_end().ends_with('.') {
+                continue;
+            }
+            let Some(arg) = code[at + name.len()..].trim_start().strip_prefix('(') else {
+                continue;
+            };
+            // A place (`&self.data`, `&seg`, `buf[a..b]`) is a bulk copy
+            // of a buffer; a call result (`x.to_le_bytes()`) or a
+            // literal is a header field being written.
+            let arg = arg.trim_start().trim_start_matches('&').trim_start();
+            let place: String = arg
+                .chars()
+                .take_while(|&c| is_ident(c) || c == '.')
+                .collect();
+            let rest = arg[place.len()..].trim_start();
+            let is_place = place.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_');
+            if is_place && (rest.starts_with(')') || rest.starts_with('[')) {
+                return Some(format!(
+                    "`.{name}` of buffer `{place}` copies payload bytes on the zero-copy \
+                     hot path; forward the PayloadView (refcount bump) instead"
+                ));
+            }
         }
     }
     for at in word_occurrences(code, "clone") {

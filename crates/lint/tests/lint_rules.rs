@@ -241,6 +241,21 @@ fn r7_deep_copies_flag_in_hot_modules_only() {
 }
 
 #[test]
+fn r7_copies_of_inic_packet_data_flag_in_the_codec() {
+    let report = check("r7_inic_violate.rs", "crates/proto/src/inic_wire.rs");
+    let lines: Vec<usize> = report.violations.iter().map(|v| v.line).collect();
+    assert!(
+        rules_of(&report).iter().all(|&r| r == Rule::R7),
+        "only R7 expected: {report:?}"
+    );
+    // `.to_vec()` and the bulk `extend_from_slice`; the header field
+    // write on line 12 is not a payload copy.
+    assert_eq!(lines, vec![8, 13], "{report:?}");
+    let cold = check("r7_inic_violate.rs", "crates/proto/src/codec.rs");
+    assert!(cold.violations.is_empty(), "{cold:?}");
+}
+
+#[test]
 fn r7_payload_view_clone_is_clean() {
     let report = check("r7_clean.rs", "crates/net/src/switch.rs");
     assert!(

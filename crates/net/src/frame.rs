@@ -189,6 +189,12 @@ impl From<&[u8]> for PayloadView {
     }
 }
 
+impl From<&Vec<u8>> for PayloadView {
+    fn from(bytes: &Vec<u8>) -> PayloadView {
+        PayloadView::from(bytes.as_slice())
+    }
+}
+
 impl PartialEq for PayloadView {
     fn eq(&self, other: &PayloadView) -> bool {
         self.as_slice() == other.as_slice()

@@ -17,10 +17,14 @@
 //!   checksummed header, sender-known transfer sizes, duplicate-tolerant
 //!   stream reassembly, and ACK/NACK control packets for loss recovery
 //!   under fault injection.
+//!
+//! Both codecs store the same word-parallel frame check (the private
+//! `check` module) in their 4-byte checksum field.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::cast_possible_truncation)]
 
+mod check;
 pub mod inic_wire;
 pub mod tcp;
 
@@ -28,4 +32,4 @@ pub use inic_wire::{
     packet_count, packetize, wire_payload_bytes, InicPacket, StreamDemux, StreamRx, WireError,
     INIC_HEADER, INIC_PAYLOAD,
 };
-pub use tcp::{HostPathCosts, TcpDelivered, TcpHostNic, TcpParams, TcpSend};
+pub use tcp::{HostPathCosts, SegHeader, TcpDelivered, TcpHostNic, TcpParams, TcpSend};

@@ -33,6 +33,8 @@ use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, Sim
 
 use acc_host::interrupts::{InterruptCosts, InterruptModerator, ModerationPolicy, ModeratorAction};
 
+use crate::check::frame_check;
+
 /// IP (20) + TCP (20) header bytes per segment.
 pub const IP_TCP_HEADER: usize = 40;
 
@@ -132,36 +134,45 @@ pub struct TcpDelivered {
     pub data: Vec<u8>,
 }
 
-/// Wire header our segments carry inside the 40-byte IP+TCP space.
-#[derive(Clone, Copy, Debug)]
-struct SegHeader {
-    chan: u16,
-    seq: u64,
-    ack: u64,
-    has_data: bool,
-    window: u32,
+/// Wire header our segments carry inside the 40-byte IP+TCP space:
+///
+/// ```text
+/// [0..2)   chan      u16 LE
+/// [2..10)  seq       u64 LE
+/// [10..18) ack       u64 LE
+/// [18]     has_data  u8
+/// [19..23) window    u32 LE
+/// [23..27) checksum  u32 LE — frame check over [0..23) + data
+/// [27..40) reserved, zero
+/// ```
+///
+/// The checksum is the crate's frame check (`check::frame_check`), the
+/// same check the INIC codec uses, standing in for the real TCP
+/// checksum.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SegHeader {
+    /// Flow id multiplexing several streams per node pair.
+    pub chan: u16,
+    /// Sequence number of the first data byte.
+    pub seq: u64,
+    /// Cumulative acknowledgement.
+    pub ack: u64,
+    /// Whether the segment carries data.
+    pub has_data: bool,
+    /// Advertised receive window, bytes.
+    pub window: u32,
 }
 
 impl SegHeader {
-    /// FNV-1a over the populated header fields plus the data — stands in
-    /// for the real TCP checksum within the modelled 40-byte header.
-    fn checksum(header: &[u8], data: &[u8]) -> u32 {
-        let mut h: u32 = 0x811C_9DC5;
-        for &b in header[0..23].iter().chain(data) {
-            h ^= u32::from(b);
-            h = h.wrapping_mul(0x0100_0193);
-        }
-        h
-    }
-
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
+    /// Serialize the header followed by `data`.
+    pub fn encode(&self, data: &[u8]) -> Vec<u8> {
         let mut out = vec![0u8; IP_TCP_HEADER];
         out[0..2].copy_from_slice(&self.chan.to_le_bytes());
         out[2..10].copy_from_slice(&self.seq.to_le_bytes());
         out[10..18].copy_from_slice(&self.ack.to_le_bytes());
         out[18] = u8::from(self.has_data);
         out[19..23].copy_from_slice(&self.window.to_le_bytes());
-        let sum = SegHeader::checksum(&out, data);
+        let sum = frame_check(&[&out[0..23], data]);
         out[23..27].copy_from_slice(&sum.to_le_bytes());
         out.extend_from_slice(data);
         out
@@ -171,7 +182,7 @@ impl SegHeader {
     /// be discarded — either the checksum failed (corruption on the
     /// wire) or the reserved padding carries nonzero bytes — and the
     /// normal TCP loss recovery then repairs the stream.
-    fn decode(payload: &[u8]) -> Option<(SegHeader, &[u8])> {
+    pub fn decode(payload: &[u8]) -> Option<(SegHeader, &[u8])> {
         if payload.len() < IP_TCP_HEADER {
             return None;
         }
@@ -189,7 +200,7 @@ impl SegHeader {
                 .try_into()
                 .expect("tcp header checksum slice is 4 bytes"),
         );
-        if SegHeader::checksum(payload, &payload[IP_TCP_HEADER..]) != want {
+        if frame_check(&[&payload[0..23], &payload[IP_TCP_HEADER..]]) != want {
             return None;
         }
         let h = SegHeader {
@@ -984,25 +995,28 @@ mod tests {
             has_data: true,
             window: 65535,
         };
-        let data = g.bytes(256);
-        let wire = h.encode(&data);
+        // 45 data bytes: the last frame-check word is a ragged one.
+        let data = g.bytes(45);
+        let mut wire = h.encode(&data);
         assert!(SegHeader::decode(&wire).is_some());
         // Every truncation either decodes as a shorter (corrupt) view or
         // is rejected — never a panic or out-of-bounds read.
         for cut in 0..wire.len() {
             let _ = SegHeader::decode(&wire[..cut]);
         }
-        // Single-byte mutations anywhere in the segment must be caught:
-        // populated fields and data by the checksum, the checksum by
-        // itself, and the reserved padding [27..40) by the explicit
-        // must-be-zero rule (the checksum skips those bytes).
+        // Every byte × every non-zero XOR mask must be caught: populated
+        // fields and data by the checksum, the checksum by itself, and
+        // the reserved padding [27..40) by the explicit must-be-zero
+        // rule (the checksum skips those bytes).
         for i in 0..wire.len() {
-            let mut bent = wire.clone();
-            bent[i] ^= 0x10;
-            assert!(
-                SegHeader::decode(&bent).is_none(),
-                "mutation at byte {i} went undetected"
-            );
+            for mask in 1..=255u8 {
+                wire[i] ^= mask;
+                assert!(
+                    SegHeader::decode(&wire).is_none(),
+                    "byte {i} ^ {mask:#04x} went undetected"
+                );
+                wire[i] ^= mask;
+            }
         }
     }
 }

@@ -1,10 +1,15 @@
 //! Randomized invariant tests over the INIC wire protocol: packetization
-//! covers every byte exactly once, checksummed headers round-trip,
-//! reassembly is order-independent and duplicate-tolerant, and the demux
-//! never conflates streams. Driven by a seeded splitmix64 stream so every
-//! failure reproduces from the fixed seeds.
+//! covers every byte exactly once, checksummed headers round-trip, the
+//! simulator's corruption model never slips past either codec's frame
+//! check, reassembly is order-independent and duplicate-tolerant, and
+//! the demux never conflates streams. Driven by a seeded splitmix64
+//! stream so every failure reproduces from the fixed seeds.
 
-use acc_proto::{packet_count, packetize, InicPacket, StreamDemux, StreamRx, INIC_PAYLOAD};
+use acc_net::Impairment;
+use acc_proto::{
+    packet_count, packetize, InicPacket, SegHeader, StreamDemux, StreamRx, INIC_PAYLOAD,
+};
+use acc_sim::SimRng;
 
 /// Minimal splitmix64 stream for generating test cases.
 struct Gen(u64);
@@ -48,9 +53,9 @@ fn header_roundtrip() {
             nack: false,
             ack: false,
             busy: g.below(2) == 1,
-            data: g.bytes(INIC_PAYLOAD as u64 + 1),
+            data: g.bytes(INIC_PAYLOAD as u64 + 1).into(),
         };
-        assert_eq!(InicPacket::decode(&p.encode()).unwrap(), p);
+        assert_eq!(InicPacket::decode(p.encode()).unwrap(), p);
     }
 }
 
@@ -67,7 +72,7 @@ fn corruption_never_decodes() {
             nack: false,
             ack: false,
             busy: false,
-            data: g.bytes(INIC_PAYLOAD as u64 + 1),
+            data: g.bytes(INIC_PAYLOAD as u64 + 1).into(),
         };
         let mut bytes = p.encode();
         let i = g.below(bytes.len() as u64) as usize;
@@ -78,6 +83,61 @@ fn corruption_never_decodes() {
             "flip of bit {mask:#x} at byte {i} went undetected"
         );
     }
+}
+
+#[test]
+fn impairment_corruption_never_decodes() {
+    // The link model's own corruption (one to three bytes ^ 0x55) on
+    // random INIC packets and TCP segments: every frame whose bytes
+    // changed must be rejected. Two flips of one byte cancel and leave
+    // the frame intact; those are skipped. Fewer cases under Miri,
+    // whose interpreter is orders of magnitude slower.
+    let cases = if cfg!(miri) { 200 } else { 10_000 };
+    let mut g = Gen(0xD8);
+    let mut link = Impairment::new(SimRng::seed_from(0xC0DE));
+    let (mut inic_bent, mut tcp_bent) = (0, 0);
+    for case in 0..cases {
+        let data = g.bytes(INIC_PAYLOAD as u64 + 1);
+        let pkt = InicPacket {
+            src_rank: g.below(1 << 16) as u32,
+            stream: g.below(1 << 16) as u32,
+            offset: g.next_u64() as u32,
+            fin: g.below(2) == 1,
+            credit: false,
+            nack: false,
+            ack: false,
+            busy: false,
+            data: (&data).into(),
+        };
+        let clean = pkt.encode();
+        let mut wire = clean.clone();
+        link.corrupt_payload(&mut wire);
+        if wire != clean {
+            inic_bent += 1;
+            assert!(
+                InicPacket::decode(&wire).is_err(),
+                "case {case}: corrupted INIC packet decoded"
+            );
+        }
+        let seg = SegHeader {
+            chan: g.below(1 << 16) as u16,
+            seq: g.next_u64(),
+            ack: g.next_u64(),
+            has_data: !data.is_empty(),
+            window: g.next_u64() as u32,
+        };
+        let clean = seg.encode(&data);
+        let mut wire = clean.clone();
+        link.corrupt_payload(&mut wire);
+        if wire != clean {
+            tcp_bent += 1;
+            assert!(
+                SegHeader::decode(&wire).is_none(),
+                "case {case}: corrupted TCP segment decoded"
+            );
+        }
+    }
+    assert!(inic_bent > cases * 9 / 10 && tcp_bent > cases * 9 / 10);
 }
 
 #[test]
@@ -101,7 +161,7 @@ fn decode_never_panics_on_arbitrary_inputs() {
             nack: false,
             ack: false,
             busy: false,
-            data: g.bytes(INIC_PAYLOAD as u64 + 1),
+            data: g.bytes(INIC_PAYLOAD as u64 + 1).into(),
         };
         let bytes = p.encode();
         let cut = g.below(bytes.len() as u64 + 1) as usize;

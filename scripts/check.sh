@@ -32,6 +32,12 @@ echo "== cargo test --workspace"
 # campaign determinism, ...) would otherwise gate nothing.
 cargo test --workspace -q
 
+echo "== perfbench unit tests (the repo benchmark builds against this API)"
+# perfbench is its own Cargo workspace, so `--workspace` above never
+# compiles it; an acc-proto/acc-net API change that breaks the benchmark
+# must fail here rather than when the benchmark is next run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
 
