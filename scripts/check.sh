@@ -26,6 +26,12 @@ echo "== acc-verify --schedules --smoke (static collective-schedule proofs, p <=
 # without running the engine. The nightly job extends this to p=4096.
 ./target/release/acc-verify --schedules --smoke --max-p 64 --quiet
 
+echo "== golden manifest (figure/ablation/soak outputs at ACC_JOBS=1 and 2)"
+# Hashes every fig*/ablation*/soak binary's stdout, stderr and exit
+# code and compares them with the committed goldens.sha256; a change
+# that moves any output must update the manifest and say why.
+./scripts/goldens.sh
+
 echo "== cargo test --workspace"
 # --workspace: a bare `cargo test` runs only the umbrella package's
 # tests; the member crates' suites (hang detection, hang minimization,
