@@ -7,7 +7,10 @@
 //! re-generated; this test makes that visible instead of silent.
 
 use acc::coll::{Algorithm, CollectiveOp};
-use acc::core::cluster::{run_collective, run_fft, run_sort, ClusterSpec, Technology};
+use acc::core::cluster::{
+    run_allreduce, run_collective, run_fft, run_halo, run_sort, run_sort_custom, ClusterSpec,
+    KeyDistribution, PartitionStrategy, Technology,
+};
 use acc::core::model::{FftModel, SortModel};
 use acc::core::RecoveryPolicy;
 use acc::sim::{SimDuration, SimTime};
@@ -47,6 +50,18 @@ fn simulated_scenarios_are_pinned() {
         2_915_325_717,
         "sort inic-ideal p4 2^16"
     );
+    let skewed = run_sort_custom(
+        ClusterSpec::new(4, Technology::InicIdeal),
+        1 << 16,
+        KeyDistribution::Gaussian,
+        PartitionStrategy::SampledSplitters,
+    );
+    assert!(skewed.verified);
+    assert_eq!(
+        skewed.total.as_ps(),
+        3_038_771_747,
+        "sort inic-ideal p4 2^16 gaussian sampled-splitters"
+    );
 }
 
 #[test]
@@ -76,6 +91,27 @@ fn simulated_collectives_are_pinned() {
         rd_gige.total.as_ps(),
         392_091_820,
         "allreduce rd gigabit p4 256"
+    );
+    // Halo's simulated time appears in no figure or ablation; the
+    // policy-selected allreduce is the `allreduce` workload's path.
+    let halo_gige = run_halo(ClusterSpec::new(4, Technology::GigabitTcp), 256, 3);
+    let halo_inic = run_halo(ClusterSpec::new(4, Technology::InicIdeal), 256, 3);
+    let allreduce = run_allreduce(ClusterSpec::new(4, Technology::InicIdeal), 4096);
+    assert!(halo_gige.verified && halo_inic.verified && allreduce.verified);
+    assert_eq!(
+        halo_gige.total.as_ps(),
+        1_612_589_244,
+        "halo gigabit p4 256x3"
+    );
+    assert_eq!(
+        halo_inic.total.as_ps(),
+        334_150_227,
+        "halo inic-ideal p4 256x3"
+    );
+    assert_eq!(
+        allreduce.total.as_ps(),
+        1_992_890_454,
+        "allreduce policy inic-ideal p4 4096"
     );
 }
 
