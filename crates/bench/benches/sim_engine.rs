@@ -6,7 +6,7 @@
 use std::any::Any;
 
 use acc_bench::harness::bench;
-use acc_core::cluster::{run_fft, run_sort, ClusterSpec, Technology};
+use acc_core::{ClusterSpec, RunRequest, Technology};
 use acc_net::{
     EtherType, EthernetKind, Frame, FrameArrival, LinkParams, MacAddr, Switch, SwitchParams,
 };
@@ -151,19 +151,29 @@ fn main() {
         s
     };
     bench("cluster_scenarios", "fft_64_gigabit", 10, None, || {
-        run_fft(spec(Technology::GigabitTcp), 64)
+        RunRequest::fft(spec(Technology::GigabitTcp), 64)
+            .execute()
+            .into_fft()
     });
     bench("cluster_scenarios", "fft_64_inic_ideal", 10, None, || {
-        run_fft(spec(Technology::InicIdeal), 64)
+        RunRequest::fft(spec(Technology::InicIdeal), 64)
+            .execute()
+            .into_fft()
     });
     bench("cluster_scenarios", "sort_2e16_gigabit", 10, None, || {
-        run_sort(spec(Technology::GigabitTcp), 1 << 16)
+        RunRequest::sort(spec(Technology::GigabitTcp), 1 << 16)
+            .execute()
+            .into_sort()
     });
     bench(
         "cluster_scenarios",
         "sort_2e16_inic_ideal",
         10,
         None,
-        || run_sort(spec(Technology::InicIdeal), 1 << 16),
+        || {
+            RunRequest::sort(spec(Technology::InicIdeal), 1 << 16)
+                .execute()
+                .into_sort()
+        },
     );
 }

@@ -23,9 +23,8 @@
 
 #![forbid(unsafe_code)]
 
-use acc_core::cluster::{run_fft, run_sort, ClusterSpec, Technology};
 use acc_core::report::Series;
-use acc_core::RunRequest;
+use acc_core::{ClusterSpec, RunRequest, Technology};
 
 pub mod campaign;
 pub mod executor;
@@ -76,7 +75,9 @@ pub fn fft_speedup_series(
 /// The serial FFT baseline: simulated Gigabit run at P=1 (no network
 /// activity — pure compute + local transposes).
 pub fn fft_serial_time(rows: usize) -> f64 {
-    run_fft(figure_spec(1, Technology::GigabitTcp), rows)
+    RunRequest::fft(figure_spec(1, Technology::GigabitTcp), rows)
+        .execute()
+        .into_fft()
         .total
         .as_secs_f64()
 }
@@ -96,7 +97,9 @@ pub fn sort_totals(ex: &Executor, technology: Technology, total_keys: u64) -> Ve
 
 /// The serial sort baseline: simulated Gigabit run at P=1.
 pub fn sort_serial_time(total_keys: u64) -> f64 {
-    run_sort(figure_spec(1, Technology::GigabitTcp), total_keys)
+    RunRequest::sort(figure_spec(1, Technology::GigabitTcp), total_keys)
+        .execute()
+        .into_sort()
         .total
         .as_secs_f64()
 }

@@ -32,6 +32,7 @@
 
 use acc_chaos::FaultPlan;
 use acc_coll::{Algorithm, CollectiveOp};
+use acc_core::cluster::{KeyDistribution, PartitionStrategy};
 use acc_core::{ClusterSpec, RunOutcome, RunRequest, Technology, Workload};
 use acc_net::FabricSpec;
 use acc_sim::SimTime;
@@ -118,7 +119,11 @@ impl ReproWorkload {
 impl From<ReproWorkload> for Workload {
     fn from(w: ReproWorkload) -> Workload {
         match w {
-            ReproWorkload::Sort { keys } => Workload::Sort { total_keys: keys },
+            ReproWorkload::Sort { keys } => Workload::Sort {
+                total_keys: keys,
+                distribution: KeyDistribution::Uniform,
+                strategy: PartitionStrategy::TopBits,
+            },
             ReproWorkload::Fft { rows } => Workload::Fft { rows },
             ReproWorkload::Coll { op, algo, elems } => Workload::Collective { op, algo, elems },
         }

@@ -1,10 +1,12 @@
-//! Cluster construction and end-to-end scenario runners.
+//! Cluster construction and the end-to-end workload runs.
 //!
-//! [`run_fft`] and [`run_sort`] build a P-node cluster of the requested
-//! [`Technology`], run the application to completion, verify the result
-//! against a serial oracle, and return a timing decomposition. These two
-//! functions are what the figure regenerators, the integration tests and
-//! the examples all call.
+//! Every workload has the same run shape: build a P-node cluster of the
+//! requested [`Technology`], run the ranks to completion, fold each
+//! phase time to its maximum over ranks, and check the result against a
+//! serial oracle. `run_wired` implements that shape once; the FFT, sort
+//! and collective runs here keep only their own inputs, drivers, folds
+//! and oracles. [`RunRequest::execute`](crate::RunRequest::execute) is
+//! the one public way to run them.
 
 use acc_algos::fft::{fft_2d, Matrix};
 use acc_algos::sort::is_sorted;
@@ -773,20 +775,21 @@ impl<D: Driver> Wiring<D> {
             .or_else(|| sched.first_partition().cloned())
     }
 
-    /// Frames dropped at switch output queues during the run, across
-    /// every switch of the fabric.
-    fn switch_drops(&self) -> u64 {
-        self.switches
-            .iter()
-            .map(|&s| self.sim.component::<Switch>(s).total_drops())
-            .sum()
+    /// Every rank's driver, in rank order.
+    fn ranks(&self) -> impl Iterator<Item = &D> {
+        self.drivers.iter().map(|&d| self.sim.component::<D>(d))
     }
 
-    /// Total retransmissions across the cluster, whichever stack did
-    /// them: INIC recovery resends plus TCP RTO and fast retransmits.
-    fn total_retransmits(&self) -> u64 {
-        self.sim
-            .stats()
+    /// Assemble the fault telemetry after a run: retransmits from
+    /// whichever stack did them (INIC recovery resends, TCP RTO and fast
+    /// retransmits), stall/reconfigure counters from the drivers and
+    /// cards, degradation and resume data from the drivers' shared
+    /// recovery state.
+    fn fault_diagnostics(&self) -> FaultDiagnostics {
+        let degraded_nodes = self.ranks().filter(|d| d.core().degraded()).count() as u64;
+        let resumed_from_phase = self.ranks().filter_map(|d| d.core().resumed_from()).max();
+        let stats = self.sim.stats();
+        let retransmits = stats
             .counters()
             .filter(|((_, name), _)| {
                 matches!(
@@ -795,22 +798,7 @@ impl<D: Driver> Wiring<D> {
                 )
             })
             .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// Every rank's driver, in rank order.
-    fn ranks(&self) -> impl Iterator<Item = &D> {
-        self.drivers.iter().map(|&d| self.sim.component::<D>(d))
-    }
-
-    /// Assemble the fault telemetry after a run: retransmits from
-    /// whichever stack did them, stall/reconfigure counters from the
-    /// drivers and cards, degradation and resume data from the drivers'
-    /// shared recovery state.
-    fn fault_diagnostics(&self) -> FaultDiagnostics {
-        let degraded_nodes = self.ranks().filter(|d| d.core().degraded()).count() as u64;
-        let resumed_from_phase = self.ranks().filter_map(|d| d.core().resumed_from()).max();
-        let stats = self.sim.stats();
+            .sum();
         let stalled_nodes = stats
             .counters()
             .filter(|((_, name), v)| *name == "stall_deferrals" && *v > 0)
@@ -821,18 +809,11 @@ impl<D: Driver> Wiring<D> {
             .map(|(_, v)| v)
             .sum();
         FaultDiagnostics {
-            retransmits: self.total_retransmits(),
+            retransmits,
             degraded_nodes,
             stalled_nodes,
             reconfig_windows_survived,
             resumed_from_phase,
-        }
-    }
-
-    /// Run the end-of-run audit pass (faulted runs only).
-    fn final_audit(&self) {
-        if let Some(cfg) = &self.audit {
-            audit::final_check(self.sim.stats(), cfg);
         }
     }
 
@@ -862,24 +843,93 @@ impl<D: Driver> Wiring<D> {
             }
         }
     }
+
+    /// The tail every finished run shares: the run span (earliest rank
+    /// start to latest rank finish), the INIC no-drop guarantee over
+    /// every switch's output-queue drops, the host protocol costs, the
+    /// end-of-run audit (faulted runs only) and the fault telemetry.
+    fn finish(&self, spec: &ClusterSpec) -> RunTail {
+        let (mut start, mut end) = (SimTime::MAX, SimTime::ZERO);
+        for core in self.ranks().map(D::core) {
+            start = start.min(core.started_at.expect("started"));
+            end = end.max(core.done_at.expect("done"));
+        }
+        let switch_drops = self
+            .switches
+            .iter()
+            .map(|&s| self.sim.component::<Switch>(s).total_drops())
+            .sum();
+        // The card's no-loss scheduling guarantee is single-switch:
+        // shared trunks of a multi-switch fabric can contend, and INIC
+        // reliability recovers those drops instead.
+        if spec.technology.is_inic()
+            && spec.fault_plan.is_none()
+            && spec.fabric == FabricSpec::SingleSwitch
+        {
+            assert_eq!(
+                switch_drops, 0,
+                "INIC schedule must never oversubscribe switch buffers"
+            );
+        }
+        let (protocol_cpu, interrupts) = self.protocol_costs();
+        if let Some(cfg) = &self.audit {
+            audit::final_check(self.sim.stats(), cfg);
+        }
+        RunTail {
+            total: end.since(start),
+            verified: spec.verify,
+            switch_drops,
+            protocol_cpu,
+            interrupts,
+            faults: self.fault_diagnostics(),
+        }
+    }
+}
+
+/// What every run reports besides its workload's own phase times.
+struct RunTail {
+    /// Earliest rank start to latest rank finish.
+    total: SimDuration,
+    /// Whether the workload's oracle check ran (and passed).
+    verified: bool,
+    switch_drops: u64,
+    protocol_cpu: SimDuration,
+    interrupts: u64,
+    faults: FaultDiagnostics,
+}
+
+/// The run shape every workload shares: wire `spec` with one
+/// `make_driver` driver per rank, run `workload` to completion under
+/// its deadline hierarchy, hand the finished ranks to `check` (the
+/// workload's oracle, which asserts on mismatch; skipped when
+/// `spec.verify` is off), take the shared [`Wiring::finish`] tail, and
+/// let `build` fold the ranks' phase times into the workload's result.
+fn run_wired<D: Driver, R>(
+    spec: &ClusterSpec,
+    workload: &Workload,
+    make_driver: impl Fn(usize, Attachment) -> D,
+    check: impl FnOnce(&[&D]),
+    build: impl FnOnce(&[&D], RunTail) -> R,
+) -> Result<R, Box<HangReport>> {
+    let mut w = wire(spec, make_driver);
+    w.run_to_completion(&DeadlineHierarchy::for_run(spec, workload))?;
+    let ranks: Vec<&D> = w.ranks().collect();
+    if spec.verify {
+        check(&ranks);
+    }
+    Ok(build(&ranks, w.finish(spec)))
+}
+
+/// The maximum over ranks of one per-rank phase time.
+fn max_over<D>(ranks: &[&D], time: impl Fn(&D) -> SimDuration) -> SimDuration {
+    ranks.iter().map(|d| time(d)).max().unwrap_or_default()
 }
 
 /// Run the 2D-FFT application on a `rows × rows` matrix.
 ///
 /// # Panics
-/// Panics if `rows` is not a power of two or `spec.p` does not divide
-/// it, or if the run hangs (see [`try_run_fft`] for the non-panicking
-/// variant).
-pub fn run_fft(spec: ClusterSpec, rows: usize) -> FftRunResult {
-    try_run_fft(spec, rows).unwrap_or_else(|report| panic!("FFT run hung\n{report}"))
-}
-
-/// Run the 2D-FFT application, returning a structured [`HangReport`]
-/// instead of panicking when the run fails to terminate.
-///
-/// # Panics
 /// Panics if `rows` is not a power of two or `spec.p` does not divide it.
-pub fn try_run_fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<HangReport>> {
+pub(crate) fn fft(spec: &ClusterSpec, rows: usize) -> Result<FftRunResult, Box<HangReport>> {
     assert!(rows.is_power_of_two(), "matrix edge must be a power of two");
     assert!(
         spec.p >= 1 && rows.is_multiple_of(spec.p),
@@ -888,84 +938,34 @@ pub fn try_run_fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<H
     let matrix = random_matrix(rows, spec.seed);
     let slabs = split_row_blocks(&matrix, spec.p);
     let kernels = HostKernels::athlon_1ghz();
-    let mut w = wire(&spec, |rank, attachment| {
-        FftDriver::new(
-            rank,
-            spec.p,
-            rows,
-            slabs[rank].clone(),
-            attachment,
-            kernels.clone(),
-        )
-    });
-    let hierarchy = DeadlineHierarchy::for_run(&spec, &Workload::Fft { rows });
-    w.run_to_completion(&hierarchy)?;
-    let mut total_end = SimTime::ZERO;
-    let mut start = SimTime::MAX;
-    let mut compute = SimDuration::ZERO;
-    let mut transpose = SimDuration::ZERO;
-    let mut transpose_compute = SimDuration::ZERO;
-    let mut transpose_comm = SimDuration::ZERO;
-    let mut out_slabs: Vec<Matrix> = Vec::new();
-    for drv in w.ranks() {
-        let t = &drv.timings;
-        let done = t.done_at.expect("done");
-        let began = t.started_at.expect("started");
-        if done > total_end {
-            total_end = done;
-        }
-        if began < start {
-            start = began;
-        }
-        if t.compute > compute {
-            compute = t.compute;
-        }
-        if t.transpose > transpose {
-            transpose = t.transpose;
-        }
-        transpose_compute = transpose_compute.max(t.transpose_compute);
-        transpose_comm = transpose_comm.max(t.transpose - t.transpose_compute);
-        out_slabs.push(drv.result().clone());
-    }
-    let verified = if spec.verify {
-        let got = join_row_blocks(&out_slabs);
-        let expect = fft_2d(&matrix);
-        let diff = got.max_abs_diff(&expect);
-        assert!(
-            diff < 1e-6,
-            "distributed FFT diverges from serial oracle by {diff}"
-        );
-        true
-    } else {
-        false
-    };
-    let switch_drops = w.switch_drops();
-    // The card's no-loss scheduling guarantee is single-switch: shared
-    // trunks of a multi-switch fabric can contend, and INIC reliability
-    // recovers those drops instead.
-    if spec.technology.is_inic()
-        && spec.fault_plan.is_none()
-        && spec.fabric == FabricSpec::SingleSwitch
-    {
-        assert_eq!(
-            switch_drops, 0,
-            "INIC schedule must never oversubscribe switch buffers"
-        );
-    }
-    let (protocol_cpu, interrupts) = w.protocol_costs();
-    w.final_audit();
-    Ok(FftRunResult {
-        total: total_end.since(start),
-        compute,
-        transpose,
-        transpose_compute,
-        transpose_comm,
-        verified,
-        switch_drops,
-        protocol_cpu,
-        interrupts,
-        faults: w.fault_diagnostics(),
-    })
+    run_wired(
+        spec,
+        &Workload::Fft { rows },
+        |rank, attachment| {
+            let slab = slabs[rank].clone();
+            FftDriver::new(rank, spec.p, rows, slab, attachment, kernels.clone())
+        },
+        |ranks| {
+            let out: Vec<Matrix> = ranks.iter().map(|d| d.result().clone()).collect();
+            let diff = join_row_blocks(&out).max_abs_diff(&fft_2d(&matrix));
+            assert!(
+                diff < 1e-6,
+                "distributed FFT diverges from serial oracle by {diff}"
+            );
+        },
+        |ranks, tail| FftRunResult {
+            total: tail.total,
+            compute: max_over(ranks, |d| d.timings.compute),
+            transpose: max_over(ranks, |d| d.timings.transpose),
+            transpose_compute: max_over(ranks, |d| d.timings.transpose_compute),
+            transpose_comm: max_over(ranks, |d| d.timings.transpose - d.timings.transpose_compute),
+            verified: tail.verified,
+            switch_drops: tail.switch_drops,
+            protocol_cpu: tail.protocol_cpu,
+            interrupts: tail.interrupts,
+            faults: tail.faults,
+        },
+    )
 }
 
 /// The key distribution of a sort workload.
@@ -991,44 +991,10 @@ pub enum PartitionStrategy {
     SampledSplitters,
 }
 
-/// Run the integer-sort application on `total_keys` uniform keys spread
-/// evenly over the nodes (the paper's configuration).
-///
-/// # Panics
-/// Panics if the run hangs (see [`try_run_sort`]).
-pub fn run_sort(spec: ClusterSpec, total_keys: u64) -> SortRunResult {
-    try_run_sort(spec, total_keys).unwrap_or_else(|report| panic!("sort run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_sort`].
-pub fn try_run_sort(spec: ClusterSpec, total_keys: u64) -> Result<SortRunResult, Box<HangReport>> {
-    try_run_sort_custom(
-        spec,
-        total_keys,
-        KeyDistribution::Uniform,
-        PartitionStrategy::TopBits,
-    )
-}
-
-/// Run the integer sort with an explicit key distribution and
-/// partitioning strategy (the skew ablation).
-///
-/// # Panics
-/// Panics if the run hangs (see [`try_run_sort_custom`]).
-pub fn run_sort_custom(
-    spec: ClusterSpec,
-    total_keys: u64,
-    distribution: KeyDistribution,
-    strategy: PartitionStrategy,
-) -> SortRunResult {
-    try_run_sort_custom(spec, total_keys, distribution, strategy)
-        .unwrap_or_else(|report| panic!("sort run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_sort_custom`]: a hung run returns a
-/// structured [`HangReport`] naming the stuck phase and rank.
-pub fn try_run_sort_custom(
-    spec: ClusterSpec,
+/// Run the integer sort on `total_keys` keys spread evenly over the
+/// nodes, drawn from `distribution` and partitioned by `strategy`.
+pub(crate) fn sort(
+    spec: &ClusterSpec,
     total_keys: u64,
     distribution: KeyDistribution,
     strategy: PartitionStrategy,
@@ -1063,87 +1029,45 @@ pub fn try_run_sort_custom(
         Technology::InicProtocol => SortVariant::ProtocolOnly,
     };
     let kernels = HostKernels::athlon_1ghz();
-    let mut w = wire(&spec, |rank, attachment| {
-        let driver = SortDriver::new(
-            rank,
-            spec.p,
-            inputs[rank].clone(),
-            variant,
-            attachment,
-            kernels.clone(),
-        );
-        match &splitters {
-            Some(sp) => driver.with_splitters(sp.clone()),
-            None => driver,
-        }
-    });
-    let hierarchy = DeadlineHierarchy::for_run(&spec, &Workload::Sort { total_keys });
-    w.run_to_completion(&hierarchy)?;
-    let mut total_end = SimTime::ZERO;
-    let mut start = SimTime::MAX;
-    let (mut bucket1, mut comm, mut bucket2, mut count) = (
-        SimDuration::ZERO,
-        SimDuration::ZERO,
-        SimDuration::ZERO,
-        SimDuration::ZERO,
-    );
-    let mut outputs: Vec<Vec<u32>> = Vec::new();
-    for drv in w.ranks() {
-        let t = &drv.timings;
-        let done = t.done_at.expect("done");
-        let began = t.started_at.expect("started");
-        if done > total_end {
-            total_end = done;
-        }
-        if began < start {
-            start = began;
-        }
-        bucket1 = bucket1.max(t.bucket1);
-        comm = comm.max(t.comm);
-        bucket2 = bucket2.max(t.bucket2);
-        count = count.max(t.count);
-        outputs.push(drv.result().to_vec());
-    }
-    let verified = if spec.verify {
-        // Concatenated per-rank outputs form the globally sorted key
-        // sequence, equal (as a multiset and order) to a serial sort of
-        // all inputs.
-        let got: Vec<u32> = outputs.concat();
-        assert!(is_sorted(&got), "global output not sorted");
-        let mut expect: Vec<u32> = inputs.concat();
-        expect.sort_unstable();
-        assert_eq!(got, expect, "distributed sort diverges from serial sort");
-        true
-    } else {
-        false
+    let workload = Workload::Sort {
+        total_keys,
+        distribution,
+        strategy,
     };
-    let switch_drops = w.switch_drops();
-    // The card's no-loss scheduling guarantee is single-switch: shared
-    // trunks of a multi-switch fabric can contend, and INIC reliability
-    // recovers those drops instead.
-    if spec.technology.is_inic()
-        && spec.fault_plan.is_none()
-        && spec.fabric == FabricSpec::SingleSwitch
-    {
-        assert_eq!(
-            switch_drops, 0,
-            "INIC schedule must never oversubscribe switch buffers"
-        );
-    }
-    let (protocol_cpu, interrupts) = w.protocol_costs();
-    w.final_audit();
-    Ok(SortRunResult {
-        total: total_end.since(start),
-        bucket1,
-        comm,
-        bucket2,
-        count,
-        verified,
-        switch_drops,
-        protocol_cpu,
-        interrupts,
-        faults: w.fault_diagnostics(),
-    })
+    run_wired(
+        spec,
+        &workload,
+        |rank, attachment| {
+            let keys = inputs[rank].clone();
+            let driver = SortDriver::new(rank, spec.p, keys, variant, attachment, kernels.clone());
+            match &splitters {
+                Some(sp) => driver.with_splitters(sp.clone()),
+                None => driver,
+            }
+        },
+        |ranks| {
+            // Concatenated per-rank outputs form the globally sorted key
+            // sequence, equal (as a multiset and order) to a serial sort
+            // of all inputs.
+            let got: Vec<u32> = ranks.iter().flat_map(|d| d.result()).copied().collect();
+            assert!(is_sorted(&got), "global output not sorted");
+            let mut expect: Vec<u32> = inputs.concat();
+            expect.sort_unstable();
+            assert_eq!(got, expect, "distributed sort diverges from serial sort");
+        },
+        |ranks, tail| SortRunResult {
+            total: tail.total,
+            bucket1: max_over(ranks, |d| d.timings.bucket1),
+            comm: max_over(ranks, |d| d.timings.comm),
+            bucket2: max_over(ranks, |d| d.timings.bucket2),
+            count: max_over(ranks, |d| d.timings.count),
+            verified: tail.verified,
+            switch_drops: tail.switch_drops,
+            protocol_cpu: tail.protocol_cpu,
+            interrupts: tail.interrupts,
+            faults: tail.faults,
+        },
+    )
 }
 
 /// Result of one AllReduce run (collective-operations extension).
@@ -1246,23 +1170,11 @@ fn collective_input(rank: usize, elems: usize) -> Vec<f64> {
 /// Run one collective through the engine with an explicit algorithm.
 ///
 /// # Panics
-/// Panics if the (op, algorithm, p, elems) cell is unsupported, if the
-/// offload plan exceeds the device's CLB budget (pre-check with
-/// [`plan_collective_offload`] to get the structured error instead), or
-/// if the run hangs (see [`try_run_collective`]).
-pub fn run_collective(
-    spec: ClusterSpec,
-    op: CollectiveOp,
-    algo: Algorithm,
-    elems: usize,
-) -> CollRunResult {
-    try_run_collective(spec, op, algo, elems)
-        .unwrap_or_else(|report| panic!("{op}/{algo} run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_collective`].
-pub fn try_run_collective(
-    spec: ClusterSpec,
+/// Panics if the (op, algorithm, p, elems) cell is unsupported, or if
+/// the offload plan exceeds the device's CLB budget (pre-check with
+/// [`plan_collective_offload`] to get the structured error instead).
+pub(crate) fn collective(
+    spec: &ClusterSpec,
     op: CollectiveOp,
     algo: Algorithm,
     elems: usize,
@@ -1277,16 +1189,12 @@ pub fn try_run_collective(
         .map(|rank| collective_input(rank, elems))
         .collect();
     run_schedules(
-        &spec,
+        spec,
         &schedules,
         &inputs,
         &Workload::Collective { op, algo, elems },
-        |results| {
-            let expect = acc_coll::oracle(op, spec.p, &inputs);
-            for (rank, r) in results.iter().enumerate() {
-                assert_eq!(r, &expect[rank], "rank {rank} {op}/{algo} output mismatch");
-            }
-        },
+        &format!("{op}/{algo}"),
+        || acc_coll::oracle(op, spec.p, &inputs),
     )
 }
 
@@ -1296,15 +1204,9 @@ pub fn try_run_collective(
 /// construction).
 ///
 /// # Panics
-/// Panics if `spec.p` is not a power of two or `elems < 2`, or if the
-/// run hangs (see [`try_run_halo`]).
-pub fn run_halo(spec: ClusterSpec, elems: usize, iters: usize) -> CollRunResult {
-    try_run_halo(spec, elems, iters).unwrap_or_else(|report| panic!("halo run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_halo`].
-pub fn try_run_halo(
-    spec: ClusterSpec,
+/// Panics if `spec.p` is not a power of two or `elems < 2`.
+pub(crate) fn halo(
+    spec: &ClusterSpec,
     elems: usize,
     iters: usize,
 ) -> Result<CollRunResult, Box<HangReport>> {
@@ -1315,28 +1217,25 @@ pub fn try_run_halo(
         .map(|rank| collective_input(rank, elems))
         .collect();
     run_schedules(
-        &spec,
+        spec,
         &schedules,
         &inputs,
         &Workload::Halo { elems, iters },
-        |results| {
-            let expect = acc_coll::plan::run_lockstep(&schedules, &inputs);
-            for (rank, r) in results.iter().enumerate() {
-                assert_eq!(r, &expect[rank], "rank {rank} halo output mismatch");
-            }
-        },
+        "halo",
+        || acc_coll::plan::run_lockstep(&schedules, &inputs),
     )
 }
 
 /// Shared engine runner: wire one [`CollDriver`] per rank over the
-/// given schedules, run under the deadline hierarchy, aggregate
-/// timings, and verify through `check` (which asserts on mismatch).
+/// given schedules, run it, and check every rank's output against
+/// `oracle` (`what` names the workload in a mismatch).
 fn run_schedules(
     spec: &ClusterSpec,
     schedules: &[Schedule],
     inputs: &[Vec<f64>],
     workload: &Workload,
-    check: impl FnOnce(&[Vec<f64>]),
+    what: &str,
+    oracle: impl FnOnce() -> Vec<Vec<f64>>,
 ) -> Result<CollRunResult, Box<HangReport>> {
     assert!(spec.p >= 1);
     let offload = plan_collective_offload(spec.technology, schedules)
@@ -1385,101 +1284,56 @@ fn run_schedules(
     // same proofs run offline via `acc-verify --schedules`.
     #[cfg(debug_assertions)]
     {
-        if let Err(vs) = acc_coll::verify::verify_schedules(schedules) {
+        use acc_coll::verify::{verify_conservation, verify_schedules, Violation};
+        let fail = |proof: &str, vs: Vec<Violation>| {
             for v in &vs {
                 eprintln!("{v}");
             }
             panic!(
-                "static schedule verification failed: {} violation(s)",
+                "static {proof} verification failed: {} violation(s)",
                 vs.len()
             );
+        };
+        if let Err(vs) = verify_schedules(schedules) {
+            fail("schedule", vs);
         }
         if let &Workload::Collective { op, elems, .. } = workload {
-            if let Err(vs) = acc_coll::verify::verify_conservation(op, elems, schedules) {
-                for v in &vs {
-                    eprintln!("{v}");
-                }
-                panic!(
-                    "static conservation verification failed: {} violation(s)",
-                    vs.len()
-                );
+            if let Err(vs) = verify_conservation(op, elems, schedules) {
+                fail("conservation", vs);
             }
         }
     }
     let kernels = HostKernels::athlon_1ghz();
-    let mut w = wire(spec, |rank, attachment| {
-        CollDriver::new(
-            rank,
-            spec.p,
-            schedules[rank].clone(),
-            inputs[rank].clone(),
-            attachment,
-            kernels.clone(),
-            offload.as_ref().map(|plans| plans[rank].clone()),
-        )
-    });
-    let hierarchy = DeadlineHierarchy::for_run(spec, workload);
-    w.run_to_completion(&hierarchy)?;
-    let mut total_end = SimTime::ZERO;
-    let mut start = SimTime::MAX;
-    let mut comm = SimDuration::ZERO;
-    let mut compute = SimDuration::ZERO;
-    let mut results: Vec<Vec<f64>> = Vec::new();
-    for drv in w.ranks() {
-        let t = &drv.timings;
-        total_end = total_end.max(t.done_at.expect("done"));
-        start = start.min(t.started_at.expect("started"));
-        comm = comm.max(t.comm);
-        compute = compute.max(t.compute);
-        results.push(drv.result());
-    }
-    let verified = if spec.verify {
-        check(&results);
-        true
-    } else {
-        false
-    };
-    // Single-switch only, as in the application runners: fabric trunks
-    // may contend and rely on INIC reliability instead.
-    if spec.technology.is_inic()
-        && spec.fault_plan.is_none()
-        && spec.fabric == FabricSpec::SingleSwitch
-    {
-        assert_eq!(w.switch_drops(), 0, "INIC collective must not drop");
-    }
-    w.final_audit();
-    let faults = w.fault_diagnostics();
-    Ok(CollRunResult {
-        total: total_end.since(start),
-        comm,
-        compute,
-        verified,
-        faults,
-    })
-}
-
-/// Run a flat AllReduce (sum) of one `elems`-element f64 vector per
-/// node on the chosen technology — now a thin veneer over the
-/// collective engine, with the algorithm policy-selected for the
-/// technology's execution path.
-///
-/// # Panics
-/// Panics if the run hangs (see [`try_run_allreduce`]).
-pub fn run_allreduce(spec: ClusterSpec, elems: usize) -> ReduceRunResult {
-    try_run_allreduce(spec, elems).unwrap_or_else(|report| panic!("AllReduce run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_allreduce`].
-pub fn try_run_allreduce(
-    spec: ClusterSpec,
-    elems: usize,
-) -> Result<ReduceRunResult, Box<HangReport>> {
-    let algo = select_algorithm(spec.technology, CollectiveOp::AllReduce, spec.p, elems);
-    let r = try_run_collective(spec, CollectiveOp::AllReduce, algo, elems)?;
-    Ok(ReduceRunResult {
-        total: r.total,
-        comm: r.comm,
-        reduce: r.compute,
-        verified: r.verified,
-    })
+    run_wired(
+        spec,
+        workload,
+        |rank, attachment| {
+            CollDriver::new(
+                rank,
+                spec.p,
+                schedules[rank].clone(),
+                inputs[rank].clone(),
+                attachment,
+                kernels.clone(),
+                offload.as_ref().map(|plans| plans[rank].clone()),
+            )
+        },
+        |ranks| {
+            let expect = oracle();
+            for (rank, d) in ranks.iter().enumerate() {
+                assert_eq!(
+                    d.result(),
+                    expect[rank],
+                    "rank {rank} {what} output mismatch"
+                );
+            }
+        },
+        |ranks, tail| CollRunResult {
+            total: tail.total,
+            comm: max_over(ranks, |d| d.timings.comm),
+            compute: max_over(ranks, |d| d.timings.compute),
+            verified: tail.verified,
+            faults: tail.faults,
+        },
+    )
 }

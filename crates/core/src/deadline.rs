@@ -139,7 +139,7 @@ impl DeadlineHierarchy {
                 let kib = (rows as u64 * rows as u64 * 16 * 2) / 1024;
                 (phases, kib)
             }
-            Workload::Sort { total_keys } | Workload::SortCustom { total_keys, .. } => {
+            Workload::Sort { total_keys, .. } => {
                 let model = SortModel::new(total_keys);
                 let host = scaled(model.t_countsort(p));
                 let exchange = scaled(model.t_inic(p));
@@ -346,6 +346,7 @@ fn scale(predicted: SimDuration, slack: u64) -> SimDuration {
 mod tests {
     use super::*;
     use crate::cluster::Technology;
+    use crate::runner::RunRequest;
     use acc_chaos::{FaultEvent, LinkId};
 
     #[test]
@@ -373,7 +374,8 @@ mod tests {
     #[test]
     fn budgets_never_fall_below_the_floor() {
         let spec = ClusterSpec::new(2, Technology::InicIdeal);
-        let h = DeadlineHierarchy::for_run(&spec, &Workload::Sort { total_keys: 1 << 8 });
+        let wl = RunRequest::sort(spec.clone(), 1 << 8).workload;
+        let h = DeadlineHierarchy::for_run(&spec, &wl);
         for ph in &h.phases {
             assert!(ph.budget >= PHASE_FLOOR, "{} below floor", ph.name);
         }
@@ -384,24 +386,15 @@ mod tests {
     #[test]
     fn fault_plan_extends_the_run_deadline() {
         let clean = ClusterSpec::new(4, Technology::InicIdeal);
-        let base = DeadlineHierarchy::for_run(
-            &clean,
-            &Workload::Sort {
-                total_keys: 1 << 12,
-            },
-        );
+        let wl = RunRequest::sort(clean.clone(), 1 << 12).workload;
+        let base = DeadlineHierarchy::for_run(&clean, &wl);
         let plan = acc_chaos::FaultPlan::new(1).with(FaultEvent::LinkOutage {
             link: LinkId::NodeUplink(1),
             from: SimTime::ZERO + SimDuration::from_millis(1),
             until: SimTime::ZERO + SimDuration::from_millis(900),
         });
         let faulted = clean.with_fault_plan(plan);
-        let fh = DeadlineHierarchy::for_run(
-            &faulted,
-            &Workload::Sort {
-                total_keys: 1 << 12,
-            },
-        );
+        let fh = DeadlineHierarchy::for_run(&faulted, &wl);
         assert!(fh.run_deadline > base.run_deadline);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Where the FFT and sort drivers hard-code their application's
 //! exchange pattern, this driver *interprets* a per-rank
-//! [`Schedule`](acc_coll::Schedule) compiled by `acc-coll`'s builders:
+//! [`Schedule`] compiled by `acc-coll`'s builders:
 //! the same rounds drive all three execution paths, so adding an
 //! algorithm to the engine needs no driver changes at all.
 //!
@@ -78,10 +78,6 @@ pub struct CollTimings {
     /// sweeps of composed workloads). Zero for pure collectives on the
     /// combined INIC path.
     pub compute: SimDuration,
-    /// Completion instant.
-    pub done_at: Option<SimTime>,
-    /// Start instant (post-configuration).
-    pub started_at: Option<SimTime>,
 }
 
 /// Per-node schedule interpreter.
@@ -229,7 +225,7 @@ impl CollDriver {
 
     /// (Re)start the schedule at `self.round` from `state`.
     fn enter(&mut self, state: Vec<f64>, ctx: &mut Ctx) {
-        self.timings.started_at.get_or_insert(ctx.now());
+        self.core.started_at.get_or_insert(ctx.now());
         self.started = true;
         self.state = state;
         self.phase_entered = ctx.now();
@@ -586,7 +582,6 @@ impl CollDriver {
     }
 
     fn finish(&mut self, ctx: &mut Ctx) {
-        self.timings.done_at = Some(ctx.now());
         self.done = true;
         self.current_phase = "done";
         self.phase_entered = ctx.now();
@@ -599,7 +594,7 @@ impl CollDriver {
                 self.core.label
             );
         }
-        self.core.report_done(ctx);
+        self.core.mark_done(ctx);
     }
 }
 
@@ -668,9 +663,7 @@ impl Driver for CollDriver {
         self.ckpts.clear();
         self.done = false;
         self.round = 0;
-        let started = self.timings.started_at;
         self.timings = CollTimings::default();
-        self.timings.started_at = started;
     }
 
     /// Every rank resumes from the cluster-wide minimum completed round.

@@ -82,11 +82,6 @@ pub struct FftTimings {
     /// final permutation charges) — zero on INIC paths, where the card
     /// absorbs the data manipulation.
     pub transpose_compute: SimDuration,
-    /// When this node finished step ❹ (absolute).
-    pub done_at: Option<SimTime>,
-    /// When this node started step ❶ (absolute; after configuration on
-    /// INIC technologies).
-    pub started_at: Option<SimTime>,
 }
 
 /// The per-node FFT application driver.
@@ -208,10 +203,8 @@ impl FftDriver {
     fn begin_fft(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase = Phase::Fft(which);
         self.phase_entered = ctx.now();
-        // A failover restart keeps the original start instant: the cost
-        // of the aborted attempt is part of the degraded run's time.
-        if which == 1 && self.timings.started_at.is_none() {
-            self.timings.started_at = Some(ctx.now());
+        if which == 1 {
+            self.core.started_at.get_or_insert(ctx.now());
         }
         // The real computation.
         for r in 0..self.slab.rows() {
@@ -547,8 +540,7 @@ impl FftDriver {
             }
             2 => {
                 self.phase = Phase::Done;
-                self.timings.done_at = Some(ctx.now());
-                self.core.report_done(ctx);
+                self.core.mark_done(ctx);
             }
             _ => unreachable!(),
         }
@@ -608,9 +600,7 @@ impl Driver for FftDriver {
         self.exchange_step = 0;
         self.early_gathers.clear();
         self.raw_gather = None;
-        let started = self.timings.started_at;
         self.timings = FftTimings::default();
-        self.timings.started_at = started;
         self.phase = Phase::Init;
     }
 

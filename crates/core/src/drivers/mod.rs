@@ -198,6 +198,12 @@ pub(crate) struct DriverCore {
     resumed_from: Option<u32>,
     /// Whether this driver already counted itself in `drivers_done`.
     reported_done: bool,
+    /// When this rank started computing (after configuration on INIC
+    /// technologies). Set once: a failover restart keeps the original
+    /// instant, so the aborted attempt counts in the degraded run time.
+    pub(crate) started_at: Option<SimTime>,
+    /// When this rank last finished.
+    pub(crate) done_at: Option<SimTime>,
 }
 
 impl DriverCore {
@@ -215,6 +221,8 @@ impl DriverCore {
             pending_resume: None,
             resumed_from: None,
             reported_done: false,
+            started_at: None,
+            done_at: None,
         }
     }
 
@@ -239,9 +247,11 @@ impl DriverCore {
         ctx.self_in(after, Timer(self.epoch, step));
     }
 
-    /// Count this rank into the cluster's `drivers_done` — once, even
-    /// when a resume re-runs the finished schedule.
-    fn report_done(&mut self, ctx: &mut Ctx) {
+    /// Record the finish instant and count this rank into the cluster's
+    /// `drivers_done` — once, even when a resume re-runs the finished
+    /// schedule.
+    fn mark_done(&mut self, ctx: &mut Ctx) {
+        self.done_at = Some(ctx.now());
         if !self.reported_done {
             self.reported_done = true;
             ctx.stats().counter("cluster", "drivers_done").inc();

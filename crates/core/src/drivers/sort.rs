@@ -104,10 +104,6 @@ pub struct SortTimings {
     pub bucket2: SimDuration,
     /// Final count-sort time.
     pub count: SimDuration,
-    /// Absolute completion instant.
-    pub done_at: Option<SimTime>,
-    /// Absolute start instant (post-configuration).
-    pub started_at: Option<SimTime>,
 }
 
 /// The per-node integer-sort driver.
@@ -261,11 +257,7 @@ impl SortDriver {
     // ---- start ----
 
     fn start(&mut self, ctx: &mut Ctx) {
-        // A failover restart keeps the original start instant: the cost
-        // of the aborted attempt is part of the degraded run's time.
-        if self.timings.started_at.is_none() {
-            self.timings.started_at = Some(ctx.now());
-        }
+        self.core.started_at.get_or_insert(ctx.now());
         self.streams_pending = self.p - 1;
         match self.variant {
             SortVariant::HostOnly | SortVariant::ProtocolOnly => {
@@ -595,8 +587,7 @@ impl SortDriver {
         assert_eq!(self.phase, Phase::Count);
         self.timings.count += ctx.now().since(self.phase_entered);
         self.phase = Phase::Done;
-        self.timings.done_at = Some(ctx.now());
-        self.core.report_done(ctx);
+        self.core.mark_done(ctx);
         // Every key we hold belongs to this rank.
         debug_assert!(match &self.splitters {
             Some(sp) => self
@@ -710,9 +701,7 @@ impl Driver for SortDriver {
         self.received_keys.clear();
         self.card_bucket_data = None;
         self.sorted.clear();
-        let started = self.timings.started_at;
         self.timings = SortTimings::default();
-        self.timings.started_at = started;
     }
 
     fn resume(&mut self, phase: u32, ctx: &mut Ctx) {

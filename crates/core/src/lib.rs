@@ -7,8 +7,9 @@
 //! network datapath (ideal Section-4 card or ACEII prototype).
 //!
 //! * [`cluster`] — build a P-node cluster of a chosen
-//!   [`cluster::Technology`] and run the two evaluation applications on
-//!   it end-to-end (real data, checked against serial oracles).
+//!   [`cluster::Technology`] and run the evaluation workloads on it
+//!   end-to-end (real data, checked against serial oracles), all
+//!   through [`RunRequest::execute`].
 //! * [`drivers`] — the per-node application drivers: the FFTW-template
 //!   2D FFT (Section 3.1) and the distributed integer sort
 //!   (Section 3.2), each with a commodity-NIC and an INIC

@@ -3,7 +3,7 @@
 //! A guarded run ends in one of three ways: completion, a simulation
 //! [`Watchdog`](acc_sim::Watchdog) abort (event budget, same-timestamp
 //! livelock, or the whole-run deadline of the
-//! [`DeadlineHierarchy`](crate::deadline::DeadlineHierarchy)), or a
+//! [`DeadlineHierarchy`]), or a
 //! *deadlock* — the event queue drains while drivers are still waiting
 //! on peers that will never send. All three non-completions produce a
 //! [`HangReport`] naming the stuck phase and rank instead of a panic or
@@ -165,15 +165,11 @@ impl fmt::Display for HangReport {
 mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
-    use crate::runner::Workload;
+    use crate::runner::RunRequest;
 
     fn hierarchy() -> DeadlineHierarchy {
-        DeadlineHierarchy::for_run(
-            &ClusterSpec::new(4, Technology::InicIdeal),
-            &Workload::Sort {
-                total_keys: 1 << 10,
-            },
-        )
+        let spec = ClusterSpec::new(4, Technology::InicIdeal);
+        DeadlineHierarchy::for_run(&spec, &RunRequest::sort(spec.clone(), 1 << 10).workload)
     }
 
     fn rank(rank: usize, phase: &'static str, entered_ms: u64, done: bool) -> DriverProgress {

@@ -29,15 +29,9 @@ pub enum Workload {
         /// Matrix dimension (rows == columns).
         rows: usize,
     },
-    /// The integer sort of Section 3.2 (uniform keys, top-bits
-    /// partitioning — the paper's configuration).
+    /// The integer sort of Section 3.2. The paper runs uniform keys
+    /// with top-bits partitioning; the skew ablation varies both.
     Sort {
-        /// Total keys across the cluster.
-        total_keys: u64,
-    },
-    /// The integer sort with explicit distribution and partitioning
-    /// (the skew ablation).
-    SortCustom {
         /// Total keys across the cluster.
         total_keys: u64,
         /// Key distribution.
@@ -87,12 +81,11 @@ impl RunRequest {
         }
     }
 
-    /// A sort run with the paper's default key configuration.
+    /// A sort run with the paper's key configuration: uniform keys,
+    /// top-bits partitioning.
     pub fn sort(spec: ClusterSpec, total_keys: u64) -> RunRequest {
-        RunRequest {
-            spec,
-            workload: Workload::Sort { total_keys },
-        }
+        use crate::cluster::{KeyDistribution::Uniform, PartitionStrategy::TopBits};
+        RunRequest::sort_custom(spec, total_keys, Uniform, TopBits)
     }
 
     /// A sort run with explicit distribution and partitioning.
@@ -104,7 +97,7 @@ impl RunRequest {
     ) -> RunRequest {
         RunRequest {
             spec,
-            workload: Workload::SortCustom {
+            workload: Workload::Sort {
                 total_keys,
                 distribution,
                 strategy,
@@ -141,30 +134,40 @@ impl RunRequest {
         }
     }
 
-    /// Execute the run to completion and return its outcome. A run
-    /// that fails to terminate comes back as [`RunOutcome::Hung`] with
-    /// the structured hang diagnosis — not a panic and not an infinite
-    /// loop.
+    /// Execute the run to completion — the one way to run a workload.
+    /// A run that fails to terminate comes back as [`RunOutcome::Hung`]
+    /// with the structured hang diagnosis, not a panic or a livelock.
+    ///
+    /// # Panics
+    /// Panics on a malformed request (an FFT edge not a power of two or
+    /// not divisible by P, an unsupported collective cell, an offload
+    /// past the card's CLB budget) and on an oracle mismatch.
     pub fn execute(self) -> RunOutcome {
+        let spec = &self.spec;
         let result = match self.workload {
-            Workload::Fft { rows } => cluster::try_run_fft(self.spec, rows).map(RunOutcome::Fft),
-            Workload::Sort { total_keys } => {
-                cluster::try_run_sort(self.spec, total_keys).map(RunOutcome::Sort)
-            }
-            Workload::SortCustom {
+            Workload::Fft { rows } => cluster::fft(spec, rows).map(RunOutcome::Fft),
+            Workload::Sort {
                 total_keys,
                 distribution,
                 strategy,
-            } => cluster::try_run_sort_custom(self.spec, total_keys, distribution, strategy)
-                .map(RunOutcome::Sort),
+            } => cluster::sort(spec, total_keys, distribution, strategy).map(RunOutcome::Sort),
             Workload::AllReduce { elems } => {
-                cluster::try_run_allreduce(self.spec, elems).map(RunOutcome::Reduce)
+                let op = CollectiveOp::AllReduce;
+                let algo = cluster::select_algorithm(spec.technology, op, spec.p, elems);
+                cluster::collective(spec, op, algo, elems).map(|r| {
+                    RunOutcome::Reduce(ReduceRunResult {
+                        total: r.total,
+                        comm: r.comm,
+                        reduce: r.compute,
+                        verified: r.verified,
+                    })
+                })
             }
             Workload::Collective { op, algo, elems } => {
-                cluster::try_run_collective(self.spec, op, algo, elems).map(RunOutcome::Coll)
+                cluster::collective(spec, op, algo, elems).map(RunOutcome::Coll)
             }
             Workload::Halo { elems, iters } => {
-                cluster::try_run_halo(self.spec, elems, iters).map(RunOutcome::Coll)
+                cluster::halo(spec, elems, iters).map(RunOutcome::Coll)
             }
         };
         result.unwrap_or_else(RunOutcome::Hung)
@@ -232,10 +235,12 @@ impl RunOutcome {
     /// The FFT result.
     ///
     /// # Panics
-    /// Panics if the outcome is not from an FFT run.
+    /// Panics if the run hung (`"FFT run hung"` and the report) or
+    /// is not an FFT run.
     pub fn into_fft(self) -> FftRunResult {
         match self {
             RunOutcome::Fft(r) => r,
+            RunOutcome::Hung(report) => panic!("FFT run hung\n{report}"),
             other => panic!("expected an FFT outcome, got {other:?}"),
         }
     }
@@ -243,10 +248,12 @@ impl RunOutcome {
     /// The sort result.
     ///
     /// # Panics
-    /// Panics if the outcome is not from a sort run.
+    /// Panics if the run hung (`"sort run hung"` and the report) or
+    /// is not a sort run.
     pub fn into_sort(self) -> SortRunResult {
         match self {
             RunOutcome::Sort(r) => r,
+            RunOutcome::Hung(report) => panic!("sort run hung\n{report}"),
             other => panic!("expected a sort outcome, got {other:?}"),
         }
     }
@@ -254,10 +261,12 @@ impl RunOutcome {
     /// The AllReduce result.
     ///
     /// # Panics
-    /// Panics if the outcome is not from an AllReduce run.
+    /// Panics if the run hung (`"AllReduce run hung"` and the report) or
+    /// is not an AllReduce run.
     pub fn into_reduce(self) -> ReduceRunResult {
         match self {
             RunOutcome::Reduce(r) => r,
+            RunOutcome::Hung(report) => panic!("AllReduce run hung\n{report}"),
             other => panic!("expected an AllReduce outcome, got {other:?}"),
         }
     }
@@ -265,10 +274,12 @@ impl RunOutcome {
     /// The collective-engine result.
     ///
     /// # Panics
-    /// Panics if the outcome is not from a collective or halo run.
+    /// Panics if the run hung (`"collective run hung"` and the report)
+    /// or is not a collective or halo run.
     pub fn into_coll(self) -> CollRunResult {
         match self {
             RunOutcome::Coll(r) => r,
+            RunOutcome::Hung(report) => panic!("collective run hung\n{report}"),
             other => panic!("expected a collective outcome, got {other:?}"),
         }
     }
@@ -280,13 +291,17 @@ mod tests {
     use crate::cluster::Technology;
 
     #[test]
-    fn request_execute_matches_direct_call() {
-        let spec = ClusterSpec::new(2, Technology::InicIdeal);
-        let direct = cluster::run_sort(spec.clone(), 1 << 10);
-        let via_request = RunRequest::sort(spec, 1 << 10).execute().into_sort();
-        assert_eq!(direct.total, via_request.total);
-        assert_eq!(direct.interrupts, via_request.interrupts);
-        assert!(via_request.verified);
+    fn sort_request_fills_in_the_papers_key_configuration() {
+        let req = RunRequest::sort(ClusterSpec::new(2, Technology::InicIdeal), 1 << 10);
+        assert!(matches!(
+            req.workload,
+            Workload::Sort {
+                distribution: KeyDistribution::Uniform,
+                strategy: PartitionStrategy::TopBits,
+                ..
+            }
+        ));
+        assert!(req.execute().into_sort().verified);
     }
 
     #[test]

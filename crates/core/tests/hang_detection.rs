@@ -37,3 +37,14 @@ fn seeded_outage_hang_is_detected_and_attributed() {
     eprintln!("attribution: {}", report.attribution());
     eprintln!("{report}");
 }
+
+/// A hung outcome read through its workload accessor names the
+/// workload and prints the report's Display form, not a Debug dump.
+#[test]
+#[should_panic(expected = "sort run hung\nhang: ")]
+fn hung_outcome_accessor_names_the_workload() {
+    let spec = ClusterSpec::new(4, Technology::InicIdeal)
+        .with_fault_plan(hang_plan())
+        .with_quiet(true);
+    RunRequest::sort(spec, 1 << 12).execute().into_sort();
+}

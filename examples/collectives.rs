@@ -15,7 +15,7 @@
 //! cargo run --release --example collectives
 //! ```
 
-use acc::core::cluster::{run_allreduce, ClusterSpec, Technology};
+use acc::core::{ClusterSpec, RunRequest, Technology};
 
 fn main() {
     let elems = 1 << 18; // 2 MiB vector per node
@@ -31,7 +31,9 @@ fn main() {
             Technology::InicPrototype,
             Technology::InicIdeal,
         ] {
-            let r = run_allreduce(ClusterSpec::new(p, tech), elems);
+            let r = RunRequest::allreduce(ClusterSpec::new(p, tech), elems)
+                .execute()
+                .into_reduce();
             println!(
                 "{:<16} {:>7.2} ms {:>7.2} ms {:>9.2} ms  {}",
                 tech.label(),

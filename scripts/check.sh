@@ -44,8 +44,10 @@ echo "== perfbench unit tests (the repo benchmark builds against this API)"
 # must fail here rather than when the benchmark is next run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== cargo doc (deny warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
+echo "== cargo doc --workspace (deny warnings)"
+# --workspace: a bare `cargo doc` documents only the umbrella package,
+# so broken intra-doc links in the member crates would go unnoticed.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
 echo "== bench_wallclock --smoke --check (gating: per-point noise bounds)"
 # ACC_JOBS=2 forces the threaded work-queue path even on one core, so

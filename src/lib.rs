@@ -19,12 +19,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use acc::core::{cluster, Technology, ClusterSpec};
+//! use acc::core::{ClusterSpec, RunRequest, Technology};
 //!
 //! // A 4-node Gigabit-Ethernet cluster vs the same cluster with ideal
 //! // INICs, running a 64×64 distributed 2D FFT end to end.
-//! let gige = cluster::run_fft(ClusterSpec::new(4, Technology::GigabitTcp), 64);
-//! let inic = cluster::run_fft(ClusterSpec::new(4, Technology::InicIdeal), 64);
+//! let fft = |tech| RunRequest::fft(ClusterSpec::new(4, tech), 64).execute().into_fft();
+//! let (gige, inic) = (fft(Technology::GigabitTcp), fft(Technology::InicIdeal));
 //! assert!(gige.verified && inic.verified);
 //! assert!(inic.transpose < gige.transpose);
 //! ```

@@ -7,12 +7,9 @@
 //! re-generated; this test makes that visible instead of silent.
 
 use acc::coll::{Algorithm, CollectiveOp};
-use acc::core::cluster::{
-    run_allreduce, run_collective, run_fft, run_halo, run_sort, run_sort_custom, ClusterSpec,
-    KeyDistribution, PartitionStrategy, Technology,
-};
+use acc::core::cluster::{ClusterSpec, KeyDistribution, PartitionStrategy, Technology};
 use acc::core::model::{FftModel, SortModel};
-use acc::core::RecoveryPolicy;
+use acc::core::{RecoveryPolicy, RunRequest};
 use acc::sim::{SimDuration, SimTime};
 use acc_chaos::{FaultEvent, FaultPlan};
 
@@ -34,9 +31,15 @@ fn analytic_models_are_pinned() {
 fn simulated_scenarios_are_pinned() {
     // Full end-to-end runs; exact picosecond totals. Small sizes keep
     // this fast while still exercising the entire stack.
-    let fft_inic = run_fft(ClusterSpec::new(4, Technology::InicIdeal), 64);
-    let fft_gige = run_fft(ClusterSpec::new(4, Technology::GigabitTcp), 64);
-    let sort_inic = run_sort(ClusterSpec::new(4, Technology::InicIdeal), 1 << 16);
+    let fft_inic = RunRequest::fft(ClusterSpec::new(4, Technology::InicIdeal), 64)
+        .execute()
+        .into_fft();
+    let fft_gige = RunRequest::fft(ClusterSpec::new(4, Technology::GigabitTcp), 64)
+        .execute()
+        .into_fft();
+    let sort_inic = RunRequest::sort(ClusterSpec::new(4, Technology::InicIdeal), 1 << 16)
+        .execute()
+        .into_sort();
     assert!(fft_inic.verified && fft_gige.verified && sort_inic.verified);
     // If any of these change, regenerate EXPERIMENTS.md.
     assert_eq!(
@@ -50,12 +53,14 @@ fn simulated_scenarios_are_pinned() {
         2_915_325_717,
         "sort inic-ideal p4 2^16"
     );
-    let skewed = run_sort_custom(
+    let skewed = RunRequest::sort_custom(
         ClusterSpec::new(4, Technology::InicIdeal),
         1 << 16,
         KeyDistribution::Gaussian,
         PartitionStrategy::SampledSplitters,
-    );
+    )
+    .execute()
+    .into_sort();
     assert!(skewed.verified);
     assert_eq!(
         skewed.total.as_ps(),
@@ -69,18 +74,22 @@ fn simulated_collectives_are_pinned() {
     // One bandwidth-bound and one latency-bound engine cell, on a host
     // path and the combined INIC. Same contract as the scenarios above:
     // if a number moves, a schedule or protocol change is real.
-    let ring_inic = run_collective(
+    let ring_inic = RunRequest::collective(
         ClusterSpec::new(4, Technology::InicIdeal),
         CollectiveOp::AllReduce,
         Algorithm::Ring,
         8192,
-    );
-    let rd_gige = run_collective(
+    )
+    .execute()
+    .into_coll();
+    let rd_gige = RunRequest::collective(
         ClusterSpec::new(4, Technology::GigabitTcp),
         CollectiveOp::AllReduce,
         Algorithm::RecursiveDoubling,
         256,
-    );
+    )
+    .execute()
+    .into_coll();
     assert!(ring_inic.verified && rd_gige.verified);
     assert_eq!(
         ring_inic.total.as_ps(),
@@ -94,9 +103,15 @@ fn simulated_collectives_are_pinned() {
     );
     // Halo's simulated time appears in no figure or ablation; the
     // policy-selected allreduce is the `allreduce` workload's path.
-    let halo_gige = run_halo(ClusterSpec::new(4, Technology::GigabitTcp), 256, 3);
-    let halo_inic = run_halo(ClusterSpec::new(4, Technology::InicIdeal), 256, 3);
-    let allreduce = run_allreduce(ClusterSpec::new(4, Technology::InicIdeal), 4096);
+    let halo_gige = RunRequest::halo(ClusterSpec::new(4, Technology::GigabitTcp), 256, 3)
+        .execute()
+        .into_coll();
+    let halo_inic = RunRequest::halo(ClusterSpec::new(4, Technology::InicIdeal), 256, 3)
+        .execute()
+        .into_coll();
+    let allreduce = RunRequest::allreduce(ClusterSpec::new(4, Technology::InicIdeal), 4096)
+        .execute()
+        .into_reduce();
     assert!(halo_gige.verified && halo_inic.verified && allreduce.verified);
     assert_eq!(
         halo_gige.total.as_ps(),
@@ -181,16 +196,24 @@ fn card_death_recovery_is_pinned() {
     for (policy, workload, total_ps, degraded, resumed) in golden {
         let (verified, total, faults) = match workload {
             "fft" => {
-                let r = run_fft(spec(policy), 64);
+                let r = RunRequest::fft(spec(policy), 64).execute().into_fft();
                 (r.verified, r.total, r.faults)
             }
             "sort" => {
-                let r = run_sort(spec(policy), 1 << 16);
+                let r = RunRequest::sort(spec(policy), 1 << 16)
+                    .execute()
+                    .into_sort();
                 (r.verified, r.total, r.faults)
             }
             _ => {
-                let r =
-                    run_collective(spec(policy), CollectiveOp::AllReduce, Algorithm::Ring, 8192);
+                let r = RunRequest::collective(
+                    spec(policy),
+                    CollectiveOp::AllReduce,
+                    Algorithm::Ring,
+                    8192,
+                )
+                .execute()
+                .into_coll();
                 (r.verified, r.total, r.faults)
             }
         };
