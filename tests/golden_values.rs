@@ -9,7 +9,7 @@
 use acc::coll::{Algorithm, CollectiveOp};
 use acc::core::cluster::{ClusterSpec, KeyDistribution, PartitionStrategy, Technology};
 use acc::core::model::{FftModel, SortModel};
-use acc::core::{RecoveryPolicy, RunRequest};
+use acc::core::{FaultDiagnostics, RecoveryPolicy, RunRequest};
 use acc::sim::{SimDuration, SimTime};
 use acc_chaos::{FaultEvent, FaultPlan};
 
@@ -130,98 +130,191 @@ fn simulated_collectives_are_pinned() {
     );
 }
 
-/// Card-death cells: p=4 ideal INIC, node 1's card killed at 1 ms
-/// (inside the 60 ms bitstream load), under every recovery policy.
-/// Pins each cell's total, degraded-rank count and resume phase, so
-/// any drift in the shared recovery protocol is visible.
+/// Runs `workload` (fft 64, sort 2^16 or ring allreduce 8192) on `spec`
+/// and returns (verified, total, fault telemetry).
+fn run_cell(workload: &str, spec: ClusterSpec) -> (bool, SimDuration, FaultDiagnostics) {
+    match workload {
+        "fft" => {
+            let r = RunRequest::fft(spec, 64).execute().into_fft();
+            (r.verified, r.total, r.faults)
+        }
+        "sort" => {
+            let r = RunRequest::sort(spec, 1 << 16).execute().into_sort();
+            (r.verified, r.total, r.faults)
+        }
+        _ => {
+            let r = RunRequest::collective(spec, CollectiveOp::AllReduce, Algorithm::Ring, 8192)
+                .execute()
+                .into_coll();
+            (r.verified, r.total, r.faults)
+        }
+    }
+}
+
+/// A p=4 cluster whose plan kills each `(node, at µs)` card.
+fn killing(technology: Technology, policy: RecoveryPolicy, kills: &[(u32, u64)]) -> ClusterSpec {
+    let mut plan = FaultPlan::new(0x601D);
+    for &(node, at_us) in kills {
+        plan = plan.with(FaultEvent::CardFailure {
+            node,
+            at: SimTime::ZERO + SimDuration::from_micros(at_us),
+        });
+    }
+    ClusterSpec::new(4, technology)
+        .with_fault_plan(plan)
+        .with_recovery_policy(policy)
+}
+
+/// Card-death cells. Pins each cell's total, degraded-rank count and
+/// resume phase, so any drift in the shared recovery protocol is
+/// visible.
+///
+/// The first block kills node 1's card at 1 ms, inside the 60 ms
+/// bitstream load, under every recovery policy. The second kills cards
+/// after configuration, in the middle of an exchange: the first FFT
+/// transpose (fft1 ends about 88 µs after configuration) and the sort
+/// key exchange. Its two-death rows kill node 2 after the first resume:
+/// the FFT one inside the second transpose (a resume from phase 3), the
+/// sort one inside the resumed exchange; both then run epoch-2 exchanges
+/// with legs to two dead ranks. `InicProtocol` always recovers by full
+/// restart, whatever the requested policy.
 #[test]
 fn card_death_recovery_is_pinned() {
-    let spec = |policy| {
-        let kill = FaultEvent::CardFailure {
-            node: 1,
-            at: SimTime::ZERO + SimDuration::from_millis(1),
-        };
-        ClusterSpec::new(4, Technology::InicIdeal)
-            .with_fault_plan(FaultPlan::new(0x601D).with(kill))
-            .with_recovery_policy(policy)
-    };
+    use RecoveryPolicy::{Checkpointed, FullRestart, RankLocal};
+    use Technology::{InicIdeal, InicProtocol, InicPrototype};
     // (policy, workload, total ps, degraded ranks, resumed-from phase)
-    let golden = [
-        (RecoveryPolicy::FullRestart, "fft", 3_317_776_996, 4, None),
-        (RecoveryPolicy::FullRestart, "sort", 3_801_910_811, 4, None),
+    let at_1ms = [
+        (FullRestart, "fft", 3_317_776_996, 4, None),
+        (FullRestart, "sort", 3_801_910_811, 4, None),
+        (FullRestart, "allreduce", 8_322_561_581, 4, None),
+        (RankLocal, "fft", 61_172_223_368, 1, Some(0)),
+        (RankLocal, "sort", 62_172_257_811, 1, Some(0)),
+        (RankLocal, "allreduce", 65_224_603_490, 1, Some(0)),
+        (Checkpointed, "fft", 61_172_223_368, 1, Some(0)),
+        (Checkpointed, "sort", 62_172_257_811, 1, Some(0)),
+        (Checkpointed, "allreduce", 65_224_603_490, 1, Some(0)),
+    ];
+    for (policy, workload, total_ps, degraded, resumed) in at_1ms {
+        let cell = (InicIdeal, policy, workload, &[(1, 1_000)][..]);
+        check_cell(cell, total_ps, degraded, resumed);
+    }
+    // (technology, policy, workload, kills (node, µs), total ps,
+    //  degraded ranks, resumed-from phase)
+    let mid_exchange: [(_, _, _, &[(u32, u64)], _, _, _); 10] = [
         (
-            RecoveryPolicy::FullRestart,
-            "allreduce",
-            8_322_561_581,
+            InicIdeal,
+            RankLocal,
+            "fft",
+            &[(1, 60_338)],
+            3_323_403_728,
+            1,
+            Some(0),
+        ),
+        (
+            InicIdeal,
+            Checkpointed,
+            "fft",
+            &[(1, 60_338)],
+            3_235_632_304,
+            1,
+            Some(1),
+        ),
+        (
+            InicPrototype,
+            RankLocal,
+            "fft",
+            &[(1, 200_348)],
+            3_333_403_728,
+            1,
+            Some(0),
+        ),
+        (
+            InicPrototype,
+            Checkpointed,
+            "fft",
+            &[(1, 200_348)],
+            3_245_632_304,
+            1,
+            Some(1),
+        ),
+        (
+            InicPrototype,
+            RankLocal,
+            "sort",
+            &[(1, 201_250)],
+            5_671_574_818,
+            1,
+            Some(0),
+        ),
+        (
+            InicPrototype,
+            Checkpointed,
+            "sort",
+            &[(1, 201_250)],
+            5_671_574_818,
+            1,
+            Some(0),
+        ),
+        (
+            InicProtocol,
+            RankLocal,
+            "sort",
+            &[(1, 61_300)],
+            5_101_910_811,
             4,
             None,
         ),
-        (RecoveryPolicy::RankLocal, "fft", 61_172_223_368, 1, Some(0)),
         (
-            RecoveryPolicy::RankLocal,
+            InicProtocol,
+            Checkpointed,
             "sort",
-            62_172_257_811,
-            1,
-            Some(0),
+            &[(1, 61_300)],
+            5_101_910_811,
+            4,
+            None,
         ),
         (
-            RecoveryPolicy::RankLocal,
-            "allreduce",
-            65_224_603_490,
-            1,
-            Some(0),
-        ),
-        (
-            RecoveryPolicy::Checkpointed,
+            InicIdeal,
+            Checkpointed,
             "fft",
-            61_172_223_368,
-            1,
-            Some(0),
+            &[(1, 60_338), (2, 62_200)],
+            3_895_369_902,
+            2,
+            Some(3),
         ),
         (
-            RecoveryPolicy::Checkpointed,
+            InicPrototype,
+            Checkpointed,
             "sort",
-            62_172_257_811,
-            1,
-            Some(0),
-        ),
-        (
-            RecoveryPolicy::Checkpointed,
-            "allreduce",
-            65_224_603_490,
-            1,
+            &[(1, 201_250), (2, 202_450)],
+            6_759_746_959,
+            2,
             Some(0),
         ),
     ];
-    for (policy, workload, total_ps, degraded, resumed) in golden {
-        let (verified, total, faults) = match workload {
-            "fft" => {
-                let r = RunRequest::fft(spec(policy), 64).execute().into_fft();
-                (r.verified, r.total, r.faults)
-            }
-            "sort" => {
-                let r = RunRequest::sort(spec(policy), 1 << 16)
-                    .execute()
-                    .into_sort();
-                (r.verified, r.total, r.faults)
-            }
-            _ => {
-                let r = RunRequest::collective(
-                    spec(policy),
-                    CollectiveOp::AllReduce,
-                    Algorithm::Ring,
-                    8192,
-                )
-                .execute()
-                .into_coll();
-                (r.verified, r.total, r.faults)
-            }
-        };
-        assert!(verified, "{policy:?} {workload}: wrong data");
-        assert_eq!(total.as_ps(), total_ps, "{policy:?} {workload}: total");
-        assert_eq!(faults.degraded_nodes, degraded, "{policy:?} {workload}");
-        assert_eq!(faults.resumed_from_phase, resumed, "{policy:?} {workload}");
+    for (technology, policy, workload, kills, total_ps, degraded, resumed) in mid_exchange {
+        check_cell(
+            (technology, policy, workload, kills),
+            total_ps,
+            degraded,
+            resumed,
+        );
     }
+}
+
+/// Run one card-death cell and compare it with its pinned values.
+fn check_cell(
+    (technology, policy, workload, kills): (Technology, RecoveryPolicy, &str, &[(u32, u64)]),
+    total_ps: u64,
+    degraded: u64,
+    resumed: Option<u32>,
+) {
+    let label = format!("{technology:?} {policy:?} {workload} kills {kills:?}");
+    let (verified, total, faults) = run_cell(workload, killing(technology, policy, kills));
+    assert!(verified, "{label}: wrong data");
+    assert_eq!(total.as_ps(), total_ps, "{label}: total");
+    assert_eq!(faults.degraded_nodes, degraded, "{label}");
+    assert_eq!(faults.resumed_from_phase, resumed, "{label}");
 }
 
 #[test]
