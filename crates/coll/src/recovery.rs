@@ -80,6 +80,29 @@ pub fn with_partitioned(
     all
 }
 
+/// The tag of exchange `index` of the `exchanges` a driver runs per
+/// failover epoch: `epoch * (exchanges + 1) + index`. The cluster's
+/// drivers use it as their TCP channel id, and the tag plus one as their
+/// INIC stream id. Epoch 0 reduces to the bare index, and each epoch's
+/// tags are disjoint from every other's, so traffic from before a
+/// failover can never complete an exchange issued after it.
+///
+/// # Panics
+/// If `index` is not below `exchanges`, or the tag does not fit below
+/// `u16::MAX`.
+pub fn exchange_tag(epoch: u64, exchanges: usize, index: usize) -> u16 {
+    assert!(
+        index < exchanges,
+        "exchange {index} of {exchanges} is out of range"
+    );
+    let tag = epoch * (exchanges as u64 + 1) + index as u64;
+    assert!(
+        tag < u64::from(u16::MAX),
+        "epoch {epoch} exchange {index} overflows the channel id"
+    );
+    tag as u16
+}
+
 /// Partition one round's transfers between the card and the fallback
 /// path, given the set of degraded ranks. `combined` says whether the
 /// configured bitstream carries a `ReduceSum` stage at all (protocol-

@@ -26,11 +26,12 @@
 //!    a Schwartz–Zippel-style certificate, exact over integers and free
 //!    of f64 rounding concerns.
 //! 3. **Tag uniqueness across failover re-plans** (`V3`) — the
-//!    `CollDriver` namespaces streams/channels/self-timers as
-//!    `epoch * (rounds + 1) + round` and truncates to a `u16` channel
-//!    id. The verifier enumerates the tag space and reports the number
-//!    of failover epochs a schedule can absorb before the channel id
-//!    saturates; fewer than one spare epoch is a violation.
+//!    cluster's drivers namespace streams and channels with
+//!    [`exchange_tag`]: `epoch * (rounds + 1) + round` as a `u16`
+//!    channel id. The verifier enumerates the tag space through that
+//!    same function and reports the number of failover epochs a
+//!    schedule can absorb before the channel id saturates; fewer than
+//!    one spare epoch is a violation.
 //! 4. **CLB-budget admissibility** (`V4`) — the combined-path offload
 //!    plan is re-derived per device (prototype XC4085XLA and the
 //!    projected Virtex) and the protocol-only plan must always fit.
@@ -61,6 +62,7 @@ use std::ops::Range;
 use acc_fpga::{FpgaDevice, InicMode};
 
 use crate::plan::{self, ranges_elems, Schedule};
+use crate::recovery::exchange_tag;
 use crate::{offload, Algorithm, CollectiveOp};
 
 /// The Mersenne prime 2^61 − 1 the conservation pass computes over.
@@ -713,14 +715,14 @@ pub fn verify_conservation(
 // Tag namespace + offload admissibility
 // ---------------------------------------------------------------------------
 
-/// The driver's channel-id namespace: `epoch * (rounds + 1) + round`
-/// truncated to `u16`. Returns the number of failover epochs the
+/// The drivers' channel-id namespace, [`exchange_tag`] with one
+/// exchange per round. Returns the number of failover epochs the
 /// namespace absorbs, or a `V3` violation when even one re-plan would
 /// collide or overflow.
 fn check_tags(rounds: usize, at: &str, violations: &mut Vec<Violation>) -> u64 {
     let span = rounds as u64 + 1;
     // Largest epoch whose highest round tag still fits below u16::MAX
-    // (the driver asserts `tag < u16::MAX`).
+    // (`exchange_tag` asserts `tag < u16::MAX`).
     let max_epoch = (u64::from(u16::MAX) - 1)
         .checked_sub(rounds as u64)
         .map_or(0, |room| room / span);
@@ -735,21 +737,18 @@ fn check_tags(rounds: usize, at: &str, violations: &mut Vec<Violation>) -> u64 {
         ));
         return max_epoch;
     }
-    // Belt and braces: enumerate the first few epochs and prove the tag
-    // sets are pairwise disjoint and each fits the channel id.
+    // Belt and braces: enumerate the first few epochs through the
+    // drivers' own tag function and prove the tag sets pairwise disjoint.
     let enumerate = max_epoch.min(4);
-    let mut seen: BTreeSet<u64> = BTreeSet::new();
+    let mut seen: BTreeSet<u16> = BTreeSet::new();
     for epoch in 0..=enumerate {
-        for round in 0..rounds as u64 {
-            let tag = epoch * span + round;
-            if tag >= u64::from(u16::MAX) || !seen.insert(tag) {
+        for round in 0..rounds {
+            let tag = exchange_tag(epoch, rounds, round);
+            if !seen.insert(tag) {
                 violations.push(violation(
                     "V3",
                     at.to_string(),
-                    format!(
-                        "epoch {epoch} round {round} tag {tag} collides or overflows the \
-                         u16 channel id"
-                    ),
+                    format!("epoch {epoch} round {round} tag {tag} collides with another epoch's"),
                 ));
             }
         }

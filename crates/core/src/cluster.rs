@@ -29,7 +29,7 @@ use acc_net::{
     PartitionReport, RouteUpdate, Switch, SwitchKill, SwitchParams, TrunkOutage,
 };
 use acc_proto::{HostPathCosts, TcpHostNic, TcpParams};
-use acc_sim::{ComponentId, HangKind, SimDuration, SimTime, Simulation};
+use acc_sim::{Component, ComponentId, HangKind, SimDuration, SimTime, Simulation};
 
 use crate::audit::{self, AuditConfig, Auditor};
 use crate::deadline::DeadlineHierarchy;
@@ -730,6 +730,7 @@ impl<D: Driver> Wiring<D> {
                     hierarchy,
                     None,
                 );
+                report.waits = self.ranks().filter_map(Component::wait_state).collect();
                 report.partition = self.partition_at_hang();
                 Err(Box::new(report))
             }

@@ -22,12 +22,14 @@
 //! * **Protocol-only INIC path**: raw gathers and unicast scatters —
 //!   the wire protocol is offloaded, the arithmetic stays on the host.
 //!
-//! Rounds are strictly ordered on each rank: the driver never issues
-//! round `t + 1` card requests before round `t`'s gather and scatter
-//! both completed, so per-round streams are announced exactly once and
-//! stale completions cannot exist within an epoch. Ranks still slide
-//! against each other — the cards buffer early packets until the local
-//! rank announces the stream.
+//! Each round is one exchange of the driver core (`drivers::handle` and
+//! its `Exchange`), which waits for the round's gather, its scatter and
+//! every TCP leg. Rounds are strictly ordered on each rank: the driver
+//! never issues round `t + 1` card requests before round `t` completed,
+//! so per-round streams are announced exactly once and stale
+//! completions cannot exist within an epoch. Ranks still slide against
+//! each other — the cards buffer early packets until the local rank
+//! announces the stream, and the core buffers early TCP legs.
 //!
 //! # Fault recovery
 //!
@@ -40,9 +42,9 @@
 //!   every completed round snapshots the working state, so a resume
 //!   re-enters at the cluster-wide minimum completed round instead of
 //!   from scratch.
-//! * **Failover epochs** — streams and TCP channels are namespaced by
-//!   the core's failover epoch (round tags), so pre-failure traffic can
-//!   never complete a post-failure round.
+//! * **Failover epochs** — the core tags streams and TCP channels with
+//!   [`acc_coll::recovery::exchange_tag`] (epoch and round), so
+//!   pre-failure traffic can never complete a post-failure round.
 //! * **Mixed-technology rounds** — after a rank-local failover the
 //!   healthy ranks keep their cards and split each remaining round via
 //!   [`acc_coll::recovery::split_round`]: legs touching the dead rank
@@ -51,7 +53,7 @@
 //! * **Full restart** — before abandoning a still-healthy card, this
 //!   driver tells it the peer is dead and aborts the in-flight stream
 //!   (see [`CollDriver`]'s `reset` hook), so the card's retransmit
-//!   backoff cannot outlive the run.
+//!   backoff cannot outlive the run. The FFT and sort drivers do not.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -59,15 +61,11 @@ use std::collections::BTreeMap;
 use acc_coll::plan::{ranges_elems, RecvSpec, Round};
 use acc_coll::recovery::{split_round, RoundLegs};
 use acc_coll::{bytes_to_f64s, f64s_to_bytes, OffloadPlan, RecvOp, Schedule};
-use acc_fpga::{
-    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicRecover, InicScatter,
-    InicScatterDone, ScatterKind,
-};
+use acc_fpga::{Bitstream, GatherKind, InicRecover, ScatterKind};
 use acc_host::HostKernels;
-use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, SimDuration, SimTime};
 
-use super::{Attachment, Driver, DriverCore, DriverProgress};
+use super::{Attachment, Driver, DriverCore, DriverProgress, ExchangeDone, ExchangePlan, LegLen};
 
 /// Timing record of one collective run.
 #[derive(Clone, Debug, Default)]
@@ -90,23 +88,10 @@ pub struct CollDriver {
     state: Vec<f64>,
     input: Vec<f64>,
     round: usize,
-    /// Inbound TCP bytes keyed by `(src rank, round channel)` — peers
-    /// may run ahead, so future rounds accumulate here until we arrive.
-    rx: BTreeMap<(usize, u16), Vec<u8>>,
-    await_gather: bool,
-    await_scatter: bool,
-    /// Whether the current INIC round still waits on fallback-TCP legs
-    /// (receives rerouted around a dead peer).
-    await_tcp: bool,
-    in_charge: bool,
-    /// Host-fold element count parked across the gather/scatter/TCP
-    /// completion race of one INIC round.
-    pending_sum_elems: u64,
     round_started: SimTime,
     charge_started: SimTime,
     phase_entered: SimTime,
     current_phase: &'static str,
-    started: bool,
     done: bool,
     /// Round-level checkpoints: completed-round count → state snapshot.
     /// Armed only under the checkpointed policy with a coordinator.
@@ -143,29 +128,20 @@ impl CollDriver {
             offload.is_some(),
             "offload plan must accompany exactly the INIC attachments"
         );
-        assert!(
-            schedule.rounds.len() < u16::MAX as usize,
-            "round index must fit the TCP channel id"
-        );
+        // One exchange per round.
+        let rounds = schedule.rounds.len();
         CollDriver {
-            core: DriverCore::new(format!("coll-driver{rank}"), rank, attachment),
+            core: DriverCore::new(format!("coll-driver{rank}"), rank, attachment, rounds),
             kernels,
             schedule,
             offload,
             state: Vec::new(),
             input,
             round: 0,
-            rx: BTreeMap::new(),
-            await_gather: false,
-            await_scatter: false,
-            await_tcp: false,
-            in_charge: false,
-            pending_sum_elems: 0,
             round_started: SimTime::ZERO,
             charge_started: SimTime::ZERO,
             phase_entered: SimTime::ZERO,
             current_phase: "init",
-            started: false,
             done: false,
             ckpts: BTreeMap::new(),
             timings: CollTimings::default(),
@@ -183,35 +159,8 @@ impl CollDriver {
         self.done
     }
 
-    fn phase_name(&self) -> &'static str {
-        self.current_phase
-    }
-
     fn current_round(&self) -> &Round {
         &self.schedule.rounds[self.round]
-    }
-
-    /// Epoch-namespaced round tag: the clean run (epoch 0) reduces to
-    /// the bare round index, so its wire traffic is byte-identical to
-    /// the pre-recovery engine.
-    fn round_tag(&self) -> u64 {
-        let tag = self.core.epoch * (self.schedule.rounds.len() as u64 + 1) + self.round as u64;
-        assert!(
-            tag < u16::MAX as u64,
-            "{}: epoch {} round {} overflows the channel id",
-            self.core.label,
-            self.core.epoch,
-            self.round
-        );
-        tag
-    }
-
-    fn stream(&self) -> u32 {
-        self.round_tag() as u32 + 1
-    }
-
-    fn chan(&self) -> u16 {
-        self.round_tag() as u16
     }
 
     /// Advance past a completed round, snapshotting the state when
@@ -226,7 +175,6 @@ impl CollDriver {
     /// (Re)start the schedule at `self.round` from `state`.
     fn enter(&mut self, state: Vec<f64>, ctx: &mut Ctx) {
         self.core.started_at.get_or_insert(ctx.now());
-        self.started = true;
         self.state = state;
         self.phase_entered = ctx.now();
         self.start_round(ctx);
@@ -240,13 +188,12 @@ impl CollDriver {
                 self.finish(ctx);
                 return;
             }
-            let phase = self.current_round().phase;
-            if phase != self.current_phase {
-                self.current_phase = phase;
+            let round = &self.schedule.rounds[self.round];
+            if round.phase != self.current_phase {
+                self.current_phase = round.phase;
                 self.phase_entered = ctx.now();
             }
-            let round = self.current_round().clone();
-            Schedule::apply_copies(&round, &mut self.state);
+            Schedule::apply_copies(round, &mut self.state);
             if round.sends.is_empty() && round.recvs.is_empty() {
                 // Pure local round: charge any modelled compute and move
                 // on; an entirely empty round falls straight through.
@@ -258,10 +205,8 @@ impl CollDriver {
                 continue;
             }
             self.round_started = ctx.now();
-            match &self.core.attachment {
-                Attachment::Tcp { .. } => self.issue_tcp_round(&round, ctx),
-                Attachment::Inic { .. } => self.issue_inic_round(&round, ctx),
-            }
+            let plan = self.round_plan();
+            self.open_exchange(self.round, plan, ctx);
             return;
         }
     }
@@ -273,124 +218,59 @@ impl CollDriver {
     }
 
     fn charge(&mut self, ctx: &mut Ctx, t: SimDuration) {
-        self.in_charge = true;
         self.charge_started = ctx.now();
         self.core.timer_in(ctx, t, ());
     }
-
-    // ---- host-TCP path -------------------------------------------------
-
-    fn issue_tcp_round(&mut self, round: &Round, ctx: &mut Ctx) {
-        let (nic, macs) = match &self.core.attachment {
-            Attachment::Tcp { nic, macs } => (*nic, macs.clone()),
-            Attachment::Inic { .. } => unreachable!("TCP round on an INIC attachment"),
-        };
-        let chan = self.chan();
-        for send in &round.sends {
-            ctx.send_now(
-                nic,
-                TcpSend {
-                    peer: macs[send.to],
-                    chan,
-                    data: f64s_to_bytes(&Schedule::gather(&send.ranges, &self.state)),
-                },
-            );
-        }
-        // Peers running ahead may already have delivered everything.
-        self.try_complete_tcp_round(ctx);
-    }
-
-    fn try_complete_tcp_round(&mut self, ctx: &mut Ctx) {
-        if self.done || !self.started || self.core.paused || self.in_charge || !self.is_tcp() {
-            return;
-        }
-        if self.round == self.schedule.rounds.len() {
-            return;
-        }
-        let chan = self.chan();
-        let round = self.current_round().clone();
-        let complete = round.recvs.iter().all(|r| {
-            let want = ranges_elems(&r.ranges) * 8;
-            self.rx
-                .get(&(r.from, chan))
-                .is_some_and(|b| b.len() >= want)
-        });
-        if !complete {
-            return;
-        }
-        let mut sum_elems = 0u64;
-        for recv in &round.recvs {
-            let bytes = self
-                .rx
-                .remove(&(recv.from, chan))
-                .expect("completeness checked");
-            assert_eq!(
-                bytes.len(),
-                ranges_elems(&recv.ranges) * 8,
-                "{}: round {} message from rank {} over-delivered",
-                self.core.label,
-                self.round,
-                recv.from
-            );
-            if recv.op == RecvOp::Sum {
-                sum_elems += ranges_elems(&recv.ranges) as u64;
-            }
-            Schedule::apply_recv(recv, &bytes_to_f64s(&bytes), &mut self.state);
-        }
-        self.close_round(ctx, &round, sum_elems);
-    }
-
-    fn is_tcp(&self) -> bool {
-        matches!(self.core.attachment, Attachment::Tcp { .. })
-    }
-
-    // ---- INIC paths ----------------------------------------------------
 
     /// Whether the configured bitstream carries a `ReduceSum` stage.
     fn card_folds(&self) -> bool {
         self.offload.as_ref().is_some_and(|plan| plan.needs_reduce)
     }
 
-    /// The current round's transport partition. With no dead peers this
-    /// reproduces the round exactly (everything on the card).
+    /// The current round's transport partition. On the host-TCP path
+    /// every leg rides TCP; on an INIC only the legs touching a dead
+    /// peer do (with no dead peers everything is on the card).
     fn current_legs(&self) -> RoundLegs {
-        split_round(self.current_round(), &self.core.dead, self.card_folds())
+        let round = self.current_round();
+        match self.core.attachment {
+            Attachment::Tcp { .. } => RoundLegs {
+                card_sends: Vec::new(),
+                tcp_sends: round.sends.clone(),
+                card_recvs: Vec::new(),
+                tcp_recvs: round.recvs.clone(),
+                card_fold: false,
+            },
+            Attachment::Inic { .. } => split_round(round, &self.core.dead, self.card_folds()),
+        }
     }
 
-    fn issue_inic_round(&mut self, round: &Round, ctx: &mut Ctx) {
-        let (card, macs) = match &self.core.attachment {
-            Attachment::Inic { card, macs, .. } => (*card, macs.clone()),
-            Attachment::Tcp { .. } => unreachable!("INIC round on a TCP attachment"),
-        };
-        let legs = split_round(round, &self.core.dead, self.card_folds());
-        let stream = self.stream();
+    /// The current round as an exchange. Sends to healthy peers ride a
+    /// unicast card scatter and receives from them one card gather —
+    /// the fused `ReduceF64` fold when the card folds the round, a raw
+    /// gather otherwise; every other leg rides TCP.
+    fn round_plan(&self) -> ExchangePlan {
+        let legs = self.current_legs();
+        let bytes_of = |ranges| f64s_to_bytes(&Schedule::gather(ranges, &self.state));
         let mut data = Vec::new();
         let mut parts: Vec<(u32, usize)> = Vec::new();
         for send in &legs.card_sends {
-            let bytes = f64s_to_bytes(&Schedule::gather(&send.ranges, &self.state));
+            let bytes = bytes_of(&send.ranges);
             parts.push((send.to as u32, bytes.len()));
             data.extend_from_slice(&bytes);
         }
-        if legs.card_fold {
+        let gather = if legs.card_fold {
             // One fused gather: the card folds the peer stream against
             // this rank's looped-back contribution, element-wise.
             let recv = &legs.card_recvs[0];
             let elems = ranges_elems(&recv.ranges);
-            let own = f64s_to_bytes(&Schedule::gather(&recv.ranges, &self.state));
+            let own = bytes_of(&recv.ranges);
             parts.push((self.core.rank as u32, own.len()));
             data.extend_from_slice(&own);
-            ctx.send_now(
-                card,
-                InicExpect {
-                    stream,
-                    kind: GatherKind::ReduceF64 { elems },
-                    sources: vec![
-                        (recv.from as u32, Some(elems * 8)),
-                        (self.core.rank as u32, Some(elems * 8)),
-                    ],
-                },
-            );
-            self.await_gather = true;
+            let sources = vec![
+                (recv.from as u32, Some(elems * 8)),
+                (self.core.rank as u32, Some(elems * 8)),
+            ];
+            Some((GatherKind::ReduceF64 { elems }, sources))
         } else if !legs.card_recvs.is_empty() {
             // Raw gather, one inbound stream per source; the card hands
             // back the concatenation sorted by source rank.
@@ -402,176 +282,47 @@ impl CollDriver {
                 legs.card_recvs.len(),
                 "raw-gather rounds receive at most one message per source"
             );
-            ctx.send_now(
-                card,
-                InicExpect {
-                    stream,
-                    kind: GatherKind::Raw,
-                    sources: legs
-                        .card_recvs
-                        .iter()
-                        .map(|r| (r.from as u32, Some(ranges_elems(&r.ranges) * 8)))
-                        .collect(),
-                },
-            );
-            self.await_gather = true;
-        }
-        if !parts.is_empty() {
-            ctx.send_now(
-                card,
-                InicScatter {
-                    stream,
-                    kind: ScatterKind::Unicast { parts },
-                    data,
-                    dests: macs,
-                },
-            );
-            self.await_scatter = true;
-        }
-        // Legs around dead peers ride the commodity fallback NIC.
-        if legs.uses_tcp() {
-            let (fb_nic, fb_macs) = match &self.core.attachment {
-                Attachment::Inic {
-                    fallback: Some(fb), ..
-                } => fb.clone(),
-                _ => panic!(
-                    "{}: degraded round without a wired fallback path",
-                    self.core.label
-                ),
-            };
-            let chan = self.chan();
-            for send in &legs.tcp_sends {
-                ctx.send_now(
-                    fb_nic,
-                    TcpSend {
-                        peer: fb_macs[send.to],
-                        chan,
-                        data: f64s_to_bytes(&Schedule::gather(&send.ranges, &self.state)),
-                    },
-                );
-            }
-            self.await_tcp = !legs.tcp_recvs.is_empty();
-        }
-        if self.core.epoch == 0 {
-            debug_assert!(
-                self.await_gather || self.await_scatter,
-                "a non-local round must touch the card"
-            );
-        }
-        if !(self.await_gather || self.await_scatter || self.await_tcp) {
-            // Every counterparty is dead and nothing is expected back:
-            // the round closes on the spot.
-            let round = self.current_round().clone();
-            let sum = std::mem::take(&mut self.pending_sum_elems);
-            self.close_round(ctx, &round, sum);
-            return;
-        }
-        // A degraded peer running ahead may have pre-delivered its legs.
-        self.try_complete_inic_tcp_legs(ctx);
-    }
-
-    /// Complete the fallback-TCP legs of the current INIC round, if all
-    /// their bytes have arrived.
-    fn try_complete_inic_tcp_legs(&mut self, ctx: &mut Ctx) {
-        if !self.await_tcp || self.done || self.core.paused || self.in_charge {
-            return;
-        }
-        let chan = self.chan();
-        let legs = self.current_legs();
-        let complete = legs.tcp_recvs.iter().all(|r| {
-            let want = ranges_elems(&r.ranges) * 8;
-            self.rx
-                .get(&(r.from, chan))
-                .is_some_and(|b| b.len() >= want)
-        });
-        if !complete {
-            return;
-        }
-        let mut host_sum_elems = 0u64;
-        for recv in &legs.tcp_recvs {
-            let bytes = self
-                .rx
-                .remove(&(recv.from, chan))
-                .expect("completeness checked");
-            assert_eq!(
-                bytes.len(),
-                ranges_elems(&recv.ranges) * 8,
-                "{}: round {} fallback leg from rank {} over-delivered",
-                self.core.label,
-                self.round,
-                recv.from
-            );
-            if recv.op == RecvOp::Sum {
-                host_sum_elems += ranges_elems(&recv.ranges) as u64;
-            }
-            Schedule::apply_recv(recv, &bytes_to_f64s(&bytes), &mut self.state);
-        }
-        self.await_tcp = false;
-        self.maybe_close_inic_round(ctx, host_sum_elems);
-    }
-
-    fn on_gather_complete(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
-        if self.core.epoch > 0 && (self.done || g.stream != self.stream() || !self.await_gather) {
-            // A pre-failover stream completing against a dead epoch.
-            return;
-        }
-        assert_eq!(g.stream, self.stream(), "{}: stale gather", self.core.label);
-        assert!(self.await_gather, "{}: unexpected gather", self.core.label);
-        self.await_gather = false;
-        let legs = self.current_legs();
-        let mut host_sum_elems = 0u64;
-        if legs.card_fold {
-            // The card already folded own + peer; overwrite in place.
-            let recv = &legs.card_recvs[0];
-            let folded = RecvSpec {
-                from: recv.from,
-                ranges: recv.ranges.clone(),
-                op: RecvOp::Copy,
-            };
-            Schedule::apply_recv(&folded, &bytes_to_f64s(&g.data), &mut self.state);
+            let sources = legs
+                .card_recvs
+                .iter()
+                .map(|r| (r.from as u32, Some(ranges_elems(&r.ranges) * 8)))
+                .collect();
+            Some((GatherKind::Raw, sources))
         } else {
-            // Raw concatenation sorted by source rank; slice it back to
-            // the schedule's receives and fold on the host.
-            let mut order: Vec<usize> = (0..legs.card_recvs.len()).collect();
-            order.sort_by_key(|&i| legs.card_recvs[i].from);
-            let bounds = g.bucket_bounds.unwrap_or_else(|| vec![g.data.len()]);
-            assert_eq!(bounds.len(), legs.card_recvs.len(), "one bucket per source");
-            let mut at = 0usize;
-            for (slot, &i) in order.iter().enumerate() {
-                let recv = &legs.card_recvs[i];
-                let bytes = &g.data[at..bounds[slot]];
-                at = bounds[slot];
-                if recv.op == RecvOp::Sum {
-                    host_sum_elems += ranges_elems(&recv.ranges) as u64;
-                }
-                Schedule::apply_recv(recv, &bytes_to_f64s(bytes), &mut self.state);
-            }
+            None
+        };
+        debug_assert!(
+            self.core.epoch > 0 || self.core.attachment.inic_mode().is_none() || legs.uses_card(),
+            "a non-local round must touch the card"
+        );
+        ExchangePlan {
+            gather,
+            scatter: (!parts.is_empty()).then_some((ScatterKind::Unicast { parts }, data)),
+            await_scatter: true,
+            sends: legs
+                .tcp_sends
+                .iter()
+                .map(|s| (s.to, bytes_of(&s.ranges)))
+                .collect(),
+            recvs: legs
+                .tcp_recvs
+                .iter()
+                .map(|r| (r.from, LegLen::Fixed(ranges_elems(&r.ranges) * 8)))
+                .collect(),
         }
-        self.maybe_close_inic_round(ctx, host_sum_elems);
     }
-
-    fn maybe_close_inic_round(&mut self, ctx: &mut Ctx, host_sum_elems: u64) {
-        self.pending_sum_elems += host_sum_elems;
-        if self.await_gather || self.await_scatter || self.await_tcp {
-            return;
-        }
-        let round = self.current_round().clone();
-        let sum_elems = std::mem::take(&mut self.pending_sum_elems);
-        self.close_round(ctx, &round, sum_elems);
-    }
-
-    // ---- shared round epilogue ----------------------------------------
 
     /// Transfers done: account comm, charge host compute (folds + the
     /// modelled sweep), then advance.
-    fn close_round(&mut self, ctx: &mut Ctx, round: &Round, host_sum_elems: u64) {
+    fn close_round(&mut self, ctx: &mut Ctx, host_sum_elems: u64) {
         self.timings.comm += ctx.now().since(self.round_started);
         let mut t = SimDuration::ZERO;
         if host_sum_elems > 0 {
             t += self.kernels.reduce_time(host_sum_elems, 2);
         }
-        if round.compute_elems > 0 {
-            t += self.sweep_time(round.compute_elems);
+        let compute_elems = self.current_round().compute_elems;
+        if compute_elems > 0 {
+            t += self.sweep_time(compute_elems);
         }
         if t > SimDuration::ZERO {
             self.charge(ctx, t);
@@ -585,15 +336,6 @@ impl CollDriver {
         self.done = true;
         self.current_phase = "done";
         self.phase_entered = ctx.now();
-        if self.core.epoch == 0 {
-            // Post-failover, bytes parked on dead-epoch channels are
-            // expected leftovers; on a clean run they are a protocol bug.
-            assert!(
-                self.rx.is_empty(),
-                "{}: leftover peer bytes at completion",
-                self.core.label
-            );
-        }
         self.core.mark_done(ctx);
     }
 }
@@ -612,7 +354,7 @@ impl Driver for CollDriver {
 
     fn progress(&self) -> DriverProgress {
         self.core
-            .progress(self.phase_name(), self.phase_entered, self.done)
+            .progress(self.current_phase, self.phase_entered, self.done)
     }
 
     fn bitstream(&self) -> Bitstream {
@@ -625,18 +367,6 @@ impl Driver for CollDriver {
         self.enter(state, ctx);
     }
 
-    /// Streams announced before the bump can never complete once the
-    /// peer set changed: drop the round's outstanding transfers.
-    fn abort_in_flight(&mut self) -> Option<u32> {
-        let stream = (self.await_gather || self.await_scatter).then(|| self.stream());
-        self.await_gather = false;
-        self.await_scatter = false;
-        self.await_tcp = false;
-        self.in_charge = false;
-        self.pending_sum_elems = 0;
-        stream
-    }
-
     /// Rounds this rank can prove complete. Without checkpoints
     /// (rank-local policy) the honest answer is 0 — a from-scratch
     /// restart.
@@ -647,19 +377,22 @@ impl Driver for CollDriver {
         self.ckpts.keys().next_back().copied().unwrap_or(0)
     }
 
-    /// Unlike the FFT and sort drivers, a healthy rank first tells its
-    /// card the peer is dead and cancels the in-flight stream: otherwise
-    /// the abandoned card's retransmit backoff into the void outlives
-    /// the run deadline.
-    fn reset(&mut self, node: usize, ctx: &mut Ctx) {
-        let abort_stream = self.abort_in_flight();
+    /// A healthy rank first tells its card the peer is dead and cancels
+    /// the in-flight stream: otherwise the abandoned card's retransmit
+    /// backoff into the void outlives the run deadline.
+    fn reset(&mut self, node: usize, stream: Option<u32>, ctx: &mut Ctx) {
         if let Attachment::Inic { card, macs, .. } = &self.core.attachment {
             if self.core.rank != node {
                 let dead = macs[node];
-                ctx.send_now(*card, InicRecover { dead, abort_stream });
+                ctx.send_now(
+                    *card,
+                    InicRecover {
+                        dead,
+                        abort_stream: stream,
+                    },
+                );
             }
         }
-        self.rx.clear();
         self.ckpts.clear();
         self.done = false;
         self.round = 0;
@@ -690,69 +423,65 @@ impl Driver for CollDriver {
                 .clone()
         };
         self.enter(state, ctx);
-        // Degraded peers running ahead may have pre-delivered their
-        // legs for the resumed round.
-        self.try_complete_tcp_round(ctx);
-        self.try_complete_inic_tcp_legs(ctx);
     }
 
     fn on_step(&mut self, _charge: (), ctx: &mut Ctx) {
-        assert!(
-            self.in_charge,
-            "{}: stray charge completion",
-            self.core.label
-        );
-        self.in_charge = false;
         self.timings.compute += ctx.now().since(self.charge_started);
         self.advance_round();
         self.start_round(ctx);
-        // A peer may have pre-delivered the next round.
-        self.try_complete_tcp_round(ctx);
-        self.try_complete_inic_tcp_legs(ctx);
     }
 
-    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<TcpDelivered>() {
-            Ok(d) => {
-                let src = self
-                    .core
-                    .attachment
-                    .resolve_src(d.peer)
-                    .expect("delivery from an unknown peer");
-                self.rx
-                    .entry((src, d.chan))
-                    .or_default()
-                    .extend_from_slice(&d.data);
-                self.try_complete_tcp_round(ctx);
-                self.try_complete_inic_tcp_legs(ctx);
-                return;
+    /// The round's transfers are in: fold them into the state (host
+    /// arithmetic for every `Sum` the card did not fold) and close it.
+    fn on_exchange(&mut self, done: ExchangeDone, ctx: &mut Ctx) {
+        let legs = self.current_legs();
+        let mut host_sum_elems = 0u64;
+        let mut apply = |recv: &RecvSpec, bytes: &[u8], state: &mut Vec<f64>| {
+            if recv.op == RecvOp::Sum {
+                host_sum_elems += ranges_elems(&recv.ranges) as u64;
             }
-            Err(ev) => ev,
+            Schedule::apply_recv(recv, &bytes_to_f64s(bytes), state);
         };
-        let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => return self.on_gather_complete(*g, ctx),
-            Err(ev) => ev,
-        };
-        let Some(s) = ev.downcast_ref::<InicScatterDone>() else {
-            panic!("{}: unknown event", self.core.label);
-        };
-        if self.core.epoch > 0 && (self.done || s.stream != self.stream() || !self.await_scatter) {
-            // A pre-failover scatter completing against a dead epoch.
-            return;
+        if let Some(g) = done.gather {
+            if legs.card_fold {
+                // The card already folded own + peer; overwrite in place.
+                let recv = &legs.card_recvs[0];
+                let folded = RecvSpec {
+                    from: recv.from,
+                    ranges: recv.ranges.clone(),
+                    op: RecvOp::Copy,
+                };
+                apply(&folded, &g.data, &mut self.state);
+            } else {
+                // Raw concatenation sorted by source rank; slice it back
+                // to the schedule's receives.
+                let mut order: Vec<usize> = (0..legs.card_recvs.len()).collect();
+                order.sort_by_key(|&i| legs.card_recvs[i].from);
+                let bounds = g.bucket_bounds.unwrap_or_else(|| vec![g.data.len()]);
+                assert_eq!(bounds.len(), legs.card_recvs.len(), "one bucket per source");
+                let mut at = 0usize;
+                for (slot, &i) in order.iter().enumerate() {
+                    apply(
+                        &legs.card_recvs[i],
+                        &g.data[at..bounds[slot]],
+                        &mut self.state,
+                    );
+                    at = bounds[slot];
+                }
+            }
         }
-        assert_eq!(
-            s.stream,
-            self.stream(),
-            "{}: stale scatter",
-            self.core.label
-        );
-        assert!(
-            self.await_scatter,
-            "{}: unexpected scatter",
-            self.core.label
-        );
-        self.await_scatter = false;
-        self.maybe_close_inic_round(ctx, 0);
+        for ((_, bytes), recv) in done.legs.iter().zip(&legs.tcp_recvs) {
+            apply(recv, bytes, &mut self.state);
+        }
+        self.close_round(ctx, host_sum_elems);
+    }
+
+    fn wait_detail(&self) -> Option<String> {
+        Some(format!(
+            "round {}/{}",
+            self.round,
+            self.schedule.rounds.len()
+        ))
     }
 }
 
@@ -766,21 +495,6 @@ impl Component for CollDriver {
     }
 
     fn wait_state(&self) -> Option<String> {
-        if self.done {
-            return None;
-        }
-        Some(format!(
-            "rank {} in {} (round {}/{}, epoch {}, gather={}, scatter={}, tcp={}, charge={}{})",
-            self.core.rank,
-            self.phase_name(),
-            self.round,
-            self.schedule.rounds.len(),
-            self.core.epoch,
-            self.await_gather,
-            self.await_scatter,
-            self.await_tcp,
-            self.in_charge,
-            self.core.parked(),
-        ))
+        super::wait_state(self)
     }
 }

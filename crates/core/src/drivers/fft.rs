@@ -12,8 +12,10 @@
 //!   before assembling the new slab;
 //! * **INIC** (Fig. 2(b)): the whole manipulation — local transpose,
 //!   packetize, de-packetize, interleave — runs on the card; the host
-//!   hands the slab to [`InicScatter`] and receives the assembled result
-//!   with [`InicGatherComplete`], paying no memory passes at all.
+//!   hands the slab to [`InicScatter`](acc_fpga::InicScatter) and
+//!   receives the assembled result with
+//!   [`InicGatherComplete`](acc_fpga::InicGatherComplete), paying no
+//!   memory passes at all.
 //!
 //! # Fault handling
 //!
@@ -26,9 +28,14 @@
 //! ranks' blocks over TCP and interleaves them into the card's slab.
 //! Each completed phase can checkpoint the slab so a failover resumes
 //! from the last phase every rank completed, negotiated through the
-//! [`RecoveryCoordinator`](super::RecoveryCoordinator). The protocol
-//! itself lives in the shared recovery core (`drivers::handle`); this
-//! driver supplies only the slab handling around it.
+//! [`RecoveryCoordinator`](super::RecoveryCoordinator).
+//!
+//! The recovery protocol and the exchange plumbing live in the driver
+//! core (`drivers::handle` and its `Exchange`): this driver supplies
+//! only the slab handling around them. Each INIC transpose is one
+//! exchange (card gather and scatter plus the TCP legs to dead ranks);
+//! the commodity transpose is a pairwise sequence of single-leg
+//! exchanges on the transpose's channel.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -37,15 +44,11 @@ use acc_algos::fft::{fft_in_place, Direction, Matrix};
 use acc_algos::transpose::{
     bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
 };
-use acc_fpga::{
-    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicMode, InicScatter, InicScatterDone,
-    ScatterKind,
-};
+use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
-use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
 
-use super::{Attachment, Driver, DriverCore, DriverProgress};
+use super::{Attachment, Driver, DriverCore, DriverProgress, ExchangeDone, ExchangePlan, LegLen};
 
 /// Where the state machine is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -97,19 +100,15 @@ pub struct FftDriver {
     /// Start of the current transpose sub-phase (local transpose or
     /// final permutation) for the compute/comm decomposition.
     subphase_entered: SimTime,
-    /// Inbound block bytes per (src_rank, channel) — TCP legs. The
-    /// channel namespaces the transpose number by epoch, so bytes from
-    /// an aborted attempt never leak into the restarted one.
-    rx: BTreeMap<(usize, u16), Vec<u8>>,
     /// Current pairwise exchange step (1-based) — commodity path. The
     /// transpose is "a serialized communications step" (Section 3.1.2):
     /// step `s` sends to `(rank+s) mod P` and waits for the block from
     /// `(rank−s) mod P` before proceeding, as FFTW's pairwise exchange
     /// does.
     exchange_step: usize,
-    /// Assembled results delivered by the card, keyed by stream, held
-    /// until the TCP legs of a mixed exchange also complete.
-    early_gathers: BTreeMap<u32, Vec<u8>>,
+    /// Blocks received so far by the pairwise exchange: source rank and
+    /// bytes, interleaved once the final-permutation charge ran.
+    blocks: Vec<(usize, Vec<u8>)>,
     /// Raw gather held while the final-permutation charge runs
     /// (protocol-processor mode): per-source concatenated blocks plus
     /// per-source end offsets.
@@ -139,7 +138,8 @@ impl FftDriver {
         assert_eq!(slab.rows(), rows / p, "slab height");
         assert_eq!(slab.cols(), rows, "slab width");
         FftDriver {
-            core: DriverCore::new(format!("fft-driver{rank}"), rank, attachment),
+            // One exchange per transpose.
+            core: DriverCore::new(format!("fft-driver{rank}"), rank, attachment, 2),
             p,
             rows,
             m: rows / p,
@@ -149,9 +149,8 @@ impl FftDriver {
             phase: Phase::Init,
             phase_entered: SimTime::ZERO,
             subphase_entered: SimTime::ZERO,
-            rx: BTreeMap::new(),
             exchange_step: 0,
-            early_gathers: BTreeMap::new(),
+            blocks: Vec::new(),
             raw_gather: None,
             ckpts: BTreeMap::new(),
             timings: FftTimings::default(),
@@ -186,16 +185,8 @@ impl FftDriver {
         DataSize::from_bytes((self.m * self.rows * 16) as u64)
     }
 
-    /// INIC stream id for transpose `which`, namespaced by epoch so a
-    /// restarted exchange never collides with the aborted one's demux
-    /// state (epoch 0 keeps the historical ids 1 and 2).
-    fn stream(&self, which: u8) -> u32 {
-        (self.core.epoch as u32) * 8 + u32::from(which)
-    }
-
-    /// TCP channel for transpose `which`, namespaced like [`stream`].
-    fn chan(&self, which: u8) -> u16 {
-        (self.core.epoch as u16) * 4 + u16::from(which)
+    fn block_bytes(&self) -> usize {
+        self.m * self.m * 16
     }
 
     // ---- phase transitions ----
@@ -241,67 +232,35 @@ impl FftDriver {
             self.core.timer_in(ctx, charge, Step::LocalTranspose);
             return;
         }
-        match &self.core.attachment {
-            Attachment::Inic {
-                card,
-                macs,
-                fallback,
-                ..
-            } => {
-                let card = *card;
-                let macs = macs.clone();
-                let fallback = fallback.clone();
-                let stream = self.stream(which);
-                self.phase = Phase::Exchange(which);
-                let dead = self.core.dead.clone();
-                ctx.send_now(
-                    card,
-                    InicExpect {
-                        stream,
-                        kind: GatherKind::InterleaveBlocks {
-                            m: self.m,
-                            rows: self.rows,
-                        },
-                        sources: (0..self.p as u32)
-                            .filter(|s| !dead.contains(&(*s as usize)))
-                            .map(|s| (s, Some(self.m * self.m * 16)))
-                            .collect(),
-                    },
-                );
-                ctx.send_now(
-                    card,
-                    InicScatter {
-                        stream,
-                        kind: ScatterKind::TransposeBlocks { m: self.m },
-                        data: slab_to_bytes(&self.slab),
-                        dests: macs,
-                    },
-                );
-                // Mixed-technology legs: the dead ranks' blocks cannot
-                // ride the card (their cards are gone), so the host
-                // extracts and ships them over the fallback TCP path.
-                if !dead.is_empty() {
-                    let (fb_nic, fb_macs) =
-                        fallback.expect("rank-local degradation needs a fallback path");
-                    let chan = self.chan(which);
-                    for &d in &dead {
-                        let block = extract_transposed_block(&self.slab, d);
-                        ctx.send_now(
-                            fb_nic,
-                            TcpSend {
-                                peer: fb_macs[d],
-                                chan,
-                                data: slab_to_bytes(&block),
-                            },
-                        );
-                    }
-                }
-                // The card (or a TCP leg) might already have everything
-                // (tiny P, fast peers, resume races): finish if so.
-                self.try_finish_inic_exchange(which, ctx);
-            }
-            Attachment::Tcp { .. } => unreachable!("handled above"),
-        }
+        self.phase = Phase::Exchange(which);
+        let bb = self.block_bytes();
+        let dead = &self.core.dead;
+        let plan = ExchangePlan {
+            gather: Some((
+                GatherKind::InterleaveBlocks {
+                    m: self.m,
+                    rows: self.rows,
+                },
+                (0..self.p as u32)
+                    .filter(|s| !dead.contains(&(*s as usize)))
+                    .map(|s| (s, Some(bb)))
+                    .collect(),
+            )),
+            scatter: Some((
+                ScatterKind::TransposeBlocks { m: self.m },
+                slab_to_bytes(&self.slab),
+            )),
+            // Mixed-technology legs: the dead ranks' blocks cannot ride
+            // the card (their cards are gone), so the host extracts and
+            // ships them over the fallback TCP path.
+            sends: dead
+                .iter()
+                .map(|&d| (d, slab_to_bytes(&extract_transposed_block(&self.slab, d))))
+                .collect(),
+            recvs: dead.iter().map(|&d| (d, LegLen::Fixed(bb))).collect(),
+            ..ExchangePlan::default()
+        };
+        self.open_exchange(usize::from(which) - 1, plan, ctx);
     }
 
     /// Local transpose charge done. Commodity path: begin the
@@ -313,220 +272,88 @@ impl FftDriver {
         };
         self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
         self.phase = Phase::Exchange(which);
-        if let Attachment::Inic {
-            card, macs, mode, ..
-        } = &self.core.attachment
-        {
-            debug_assert_eq!(*mode, InicMode::ProtocolProcessor);
-            let card = *card;
-            let macs = macs.clone();
-            let stream = self.stream(which);
-            let block_bytes = self.m * self.m * 16;
-            // Blocks in ring order (own rank first), transposed on the
-            // host — the card only packetizes.
-            let mut data = Vec::with_capacity(self.p * block_bytes);
-            for step in 0..self.p {
-                let q = (self.core.rank + step) % self.p;
-                data.extend(slab_to_bytes(&extract_transposed_block(&self.slab, q)));
-            }
-            ctx.send_now(
-                card,
-                InicExpect {
-                    stream,
-                    kind: GatherKind::Raw,
-                    sources: (0..self.p as u32).map(|s| (s, Some(block_bytes))).collect(),
+        if self.core.attachment.inic_mode().is_none() {
+            self.exchange_step = 0;
+            return self.next_step(which, ctx);
+        }
+        let bb = self.block_bytes();
+        // Blocks in ring order (own rank first), transposed on the
+        // host — the card only packetizes.
+        let mut data = Vec::with_capacity(self.p * bb);
+        for step in 0..self.p {
+            let q = (self.core.rank + step) % self.p;
+            data.extend(slab_to_bytes(&extract_transposed_block(&self.slab, q)));
+        }
+        let plan = ExchangePlan {
+            gather: Some((
+                GatherKind::Raw,
+                (0..self.p as u32).map(|s| (s, Some(bb))).collect(),
+            )),
+            scatter: Some((
+                ScatterKind::Raw {
+                    parts: vec![bb; self.p],
                 },
-            );
-            ctx.send_now(
-                card,
-                InicScatter {
-                    stream,
-                    kind: ScatterKind::Raw {
-                        parts: vec![block_bytes; self.p],
-                    },
-                    data,
-                    dests: macs,
-                },
-            );
-            return;
-        }
-        self.exchange_step = 1;
-        self.send_current_step_block(which, ctx);
-        self.check_exchange_complete(ctx);
-    }
-
-    /// Post the block for the current exchange step.
-    fn send_current_step_block(&mut self, which: u8, ctx: &mut Ctx) {
-        if self.exchange_step >= self.p {
-            return;
-        }
-        let Attachment::Tcp { nic, macs } = &self.core.attachment else {
-            unreachable!("pairwise exchange only on the commodity path");
+                data,
+            )),
+            ..ExchangePlan::default()
         };
-        let nic = *nic;
-        let q = (self.core.rank + self.exchange_step) % self.p;
-        let peer = macs[q];
-        let block = extract_transposed_block(&self.slab, q);
-        ctx.send_now(
-            nic,
-            TcpSend {
-                peer,
-                chan: self.chan(which),
-                data: slab_to_bytes(&block),
-            },
-        );
+        self.open_exchange(usize::from(which) - 1, plan, ctx);
     }
 
-    fn on_tcp_delivered(&mut self, d: TcpDelivered, ctx: &mut Ctx) {
-        let src = self
-            .core
-            .attachment
-            .resolve_src(d.peer)
-            .expect("delivery from unknown MAC");
-        self.rx
-            .entry((src, d.chan))
-            .or_default()
-            .extend_from_slice(&d.data);
-        if self.core.paused {
-            return; // buffered; consumed after the coordinator resumes us
+    /// Commodity path: post the next pairwise step's block and wait for
+    /// its inbound one; after the last step, charge the final
+    /// permutation.
+    fn next_step(&mut self, which: u8, ctx: &mut Ctx) {
+        self.exchange_step += 1;
+        if self.exchange_step < self.p {
+            let (rank, step) = (self.core.rank, self.exchange_step);
+            let to = (rank + step) % self.p;
+            let from = (rank + self.p - step) % self.p;
+            let block = slab_to_bytes(&extract_transposed_block(&self.slab, to));
+            let plan = ExchangePlan {
+                sends: vec![(to, block)],
+                recvs: vec![(from, LegLen::Fixed(self.block_bytes()))],
+                ..ExchangePlan::default()
+            };
+            return self.open_exchange(usize::from(which) - 1, plan, ctx);
         }
-        if matches!(self.core.attachment, Attachment::Inic { .. }) {
-            if let Phase::Exchange(which) = self.phase {
-                self.try_finish_inic_exchange(which, ctx);
-            }
-            return;
-        }
-        self.check_exchange_complete(ctx);
+        self.begin_permute(which, ctx);
     }
 
-    /// Advance the serialized exchange as far as received data allows:
-    /// step `s` completes only when the block from `(rank−s) mod P` has
-    /// fully arrived; only then is step `s+1`'s block posted.
-    fn check_exchange_complete(&mut self, ctx: &mut Ctx) {
-        let Phase::Exchange(which) = self.phase else {
-            return;
-        };
-        if matches!(self.core.attachment, Attachment::Inic { .. }) {
-            return; // completion is signalled by the card
-        }
-        let block_bytes = self.m * self.m * 16;
-        let chan = self.chan(which);
-        while self.exchange_step < self.p {
-            let from = (self.core.rank + self.p - self.exchange_step) % self.p;
-            let have = self
-                .rx
-                .get(&(from, chan))
-                .is_some_and(|b| b.len() >= block_bytes);
-            if !have {
-                return;
-            }
-            self.exchange_step += 1;
-            self.send_current_step_block(which, ctx);
-        }
-        // All steps done: charge the final permutation.
+    /// Charge the host's final permutation of transpose `which`.
+    fn begin_permute(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase = Phase::Permute(which);
         self.subphase_entered = ctx.now();
         let charge = self.kernels.final_permutation_time(self.partition_bytes());
         self.core.timer_in(ctx, charge, Step::Permute);
     }
 
-    /// Commodity path: permutation charge done — assemble the new slab.
+    /// Host-transpose paths: permutation charge done — assemble the new
+    /// slab.
     fn on_permute_done(&mut self, ctx: &mut Ctx) {
         let Phase::Permute(which) = self.phase else {
             panic!("{}: PermuteDone out of phase", self.core.label);
         };
         self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
-        let block_bytes = self.m * self.m * 16;
-        let chan = self.chan(which);
-        let mut out = Matrix::zeros(self.m, self.rows);
+        let m = self.m;
+        let mut out = Matrix::zeros(m, self.rows);
         if let Some((data, bounds)) = self.raw_gather.take() {
             // Protocol-processor path: per-source blocks arrived via the
             // card, already transposed by this host's peers.
             let mut start = 0usize;
             for (s, &end) in bounds.iter().enumerate() {
-                let block = bytes_to_slab(&data[start..end], self.m, self.m);
-                interleave_block(&mut out, s, &block);
+                interleave_block(&mut out, s, &bytes_to_slab(&data[start..end], m, m));
                 start = end;
             }
         } else {
-            for s in 0..self.p {
-                let block = if s == self.core.rank {
-                    extract_transposed_block(&self.slab, s)
-                } else {
-                    let buf = self.rx.get_mut(&(s, chan)).expect("checked complete");
-                    let bytes: Vec<u8> = buf.drain(..block_bytes).collect();
-                    bytes_to_slab(&bytes, self.m, self.m)
-                };
-                interleave_block(&mut out, s, &block);
+            let rank = self.core.rank;
+            interleave_block(&mut out, rank, &extract_transposed_block(&self.slab, rank));
+            for (s, bytes) in self.blocks.drain(..) {
+                interleave_block(&mut out, s, &bytes_to_slab(&bytes, m, m));
             }
         }
         self.slab = out;
         self.finish_transpose(which, ctx);
-    }
-
-    /// INIC path: finish transpose `which` once the card's gather *and*
-    /// every mixed-technology TCP leg have arrived. The card interleaves
-    /// the healthy ranks' blocks; the host interleaves the dead ranks'
-    /// blocks into the same slab (they arrive over TCP, pre-transposed
-    /// by the degraded sender's host).
-    fn try_finish_inic_exchange(&mut self, which: u8, ctx: &mut Ctx) {
-        if self.core.paused {
-            return;
-        }
-        let stream = self.stream(which);
-        if !self.early_gathers.contains_key(&stream) {
-            return;
-        }
-        let block_bytes = self.m * self.m * 16;
-        let chan = self.chan(which);
-        let ready = self.core.dead.iter().all(|&d| {
-            self.rx
-                .get(&(d, chan))
-                .is_some_and(|b| b.len() >= block_bytes)
-        });
-        if !ready {
-            return;
-        }
-        let bytes = self.early_gathers.remove(&stream).expect("checked present");
-        let mut out = bytes_to_slab(&bytes, self.m, self.rows);
-        let dead = self.core.dead.clone();
-        for &d in &dead {
-            let buf = self.rx.get_mut(&(d, chan)).expect("checked ready");
-            let block_bytes_vec: Vec<u8> = buf.drain(..block_bytes).collect();
-            let block = bytes_to_slab(&block_bytes_vec, self.m, self.m);
-            interleave_block(&mut out, d, &block);
-        }
-        self.slab = out;
-        self.finish_transpose(which, ctx);
-    }
-
-    fn on_gather(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
-        if self.core.failed_over {
-            return; // stale card traffic from before the failure
-        }
-        if self.core.attachment.inic_mode() == Some(InicMode::ProtocolProcessor) {
-            match self.phase {
-                Phase::Exchange(which) if self.stream(which) == g.stream => {
-                    // Host still owes the final permutation.
-                    self.raw_gather =
-                        Some((g.data, g.bucket_bounds.expect("raw gather carries bounds")));
-                    self.phase = Phase::Permute(which);
-                    self.subphase_entered = ctx.now();
-                    let charge = self.kernels.final_permutation_time(self.partition_bytes());
-                    self.core.timer_in(ctx, charge, Step::Permute);
-                }
-                _ => {
-                    // Stale or early; hold it (a stale stream id can
-                    // never match a future one).
-                    self.early_gathers.insert(g.stream, g.data);
-                }
-            }
-            return;
-        }
-        self.early_gathers.insert(g.stream, g.data);
-        if let Phase::Exchange(which) = self.phase {
-            self.try_finish_inic_exchange(which, ctx);
-        }
     }
 
     fn finish_transpose(&mut self, which: u8, ctx: &mut Ctx) {
@@ -574,13 +401,6 @@ impl Driver for FftDriver {
         self.begin_fft(1, ctx);
     }
 
-    fn abort_in_flight(&mut self) -> Option<u32> {
-        match self.phase {
-            Phase::Exchange(which) => Some(self.stream(which)),
-            _ => None,
-        }
-    }
-
     /// Highest phase this rank could resume from (4 = finished).
     fn completed_phase(&self) -> u32 {
         if self.phase == Phase::Done {
@@ -594,11 +414,9 @@ impl Driver for FftDriver {
 
     /// `slab` was transformed in place by the aborted attempt, so the
     /// restart begins again from the pristine copy.
-    fn reset(&mut self, _node: usize, _ctx: &mut Ctx) {
+    fn reset(&mut self, _node: usize, _stream: Option<u32>, _ctx: &mut Ctx) {
         self.slab = self.pristine.clone();
-        self.rx.clear();
-        self.exchange_step = 0;
-        self.early_gathers.clear();
+        self.blocks.clear();
         self.raw_gather = None;
         self.timings = FftTimings::default();
         self.phase = Phase::Init;
@@ -608,9 +426,8 @@ impl Driver for FftDriver {
         if phase >= 4 {
             return; // every rank had already finished
         }
-        self.early_gathers.clear();
+        self.blocks.clear();
         self.raw_gather = None;
-        self.exchange_step = 0;
         let restore = |ckpts: &BTreeMap<u32, Matrix>, k: u32| {
             ckpts
                 .get(&k)
@@ -646,19 +463,42 @@ impl Driver for FftDriver {
         }
     }
 
-    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<TcpDelivered>() {
-            Ok(d) => return self.on_tcp_delivered(*d, ctx),
-            Err(ev) => ev,
+    fn on_exchange(&mut self, mut done: ExchangeDone, ctx: &mut Ctx) {
+        let Phase::Exchange(which) = self.phase else {
+            panic!("{}: exchange completed out of phase", self.core.label);
         };
-        let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => return self.on_gather(*g, ctx),
-            Err(ev) => ev,
-        };
-        if ev.downcast_ref::<InicScatterDone>().is_some() {
-            return; // send-side completion is informational here
+        match self.core.attachment.inic_mode() {
+            // One pairwise step done.
+            None => {
+                self.blocks.append(&mut done.legs);
+                self.next_step(which, ctx);
+            }
+            // The host still owes the final permutation.
+            Some(InicMode::ProtocolProcessor) => {
+                let g = done.gather.expect("raw gather");
+                let bounds = g.bucket_bounds.expect("raw gather carries bounds");
+                self.raw_gather = Some((g.data, bounds));
+                self.begin_permute(which, ctx);
+            }
+            // The card interleaved the healthy ranks' blocks; the host
+            // interleaves the dead ranks' blocks into the same slab
+            // (they arrive over TCP, pre-transposed by the degraded
+            // sender's host).
+            Some(_) => {
+                let data = done.gather.expect("interleave gather").data;
+                let mut out = bytes_to_slab(&data, self.m, self.rows);
+                for (d, bytes) in done.legs {
+                    interleave_block(&mut out, d, &bytes_to_slab(&bytes, self.m, self.m));
+                }
+                self.slab = out;
+                self.finish_transpose(which, ctx);
+            }
         }
-        panic!("{}: unknown event", self.core.label);
+    }
+
+    fn wait_detail(&self) -> Option<String> {
+        (self.core.attachment.inic_mode().is_none() && matches!(self.phase, Phase::Exchange(_)))
+            .then(|| format!("pairwise step {}/{}", self.exchange_step, self.p - 1))
     }
 }
 
@@ -672,17 +512,6 @@ impl Component for FftDriver {
     }
 
     fn wait_state(&self) -> Option<String> {
-        if self.is_done() {
-            return None;
-        }
-        Some(format!(
-            "rank {} in {} since {} (epoch {}, exchange step {}{})",
-            self.core.rank,
-            self.phase_name(),
-            self.phase_entered,
-            self.core.epoch,
-            self.exchange_step,
-            self.core.parked()
-        ))
+        super::wait_state(self)
     }
 }

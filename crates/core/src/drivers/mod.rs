@@ -8,27 +8,44 @@
 //! commodity technologies or an [`InicCard`](acc_fpga::InicCard) for
 //! the INIC technologies.
 //!
-//! # The recovery core
+//! # The driver core
 //!
-//! Every driver runs the same card-failure protocol, implemented once
-//! here: `DriverCore` holds the per-rank recovery state, and `handle`
-//! is the one event prologue — stall deferral, start/configure, the
-//! [`CardFailed`] / [`ResumeAt`] / `InicConfigured` arms and the
-//! epoch check on self timers. A driver keeps only its data handling,
-//! plugged in through the `Driver` hooks: its bitstream, `begin`,
-//! the in-flight stream to abort, its completed phase, the reset for a
-//! full restart, the resume from checkpoint `k`, and its own events.
+//! Every driver runs on one core, implemented here. `DriverCore` holds
+//! the per-rank state and `handle` is the one event prologue: stall
+//! deferral, start/configure, the card-failure protocol ([`CardFailed`],
+//! [`ResumeAt`], `InicConfigured`, the epoch check on self timers) and
+//! the exchange events.
+//!
+//! An *exchange* is one all-to-all step: the FFT's transpose, the
+//! sort's key exchange, one collective round. The core's `Exchange`
+//! issues the card gather and scatter, sends the TCP legs (over the
+//! commodity NIC, or on an INIC over the fallback NIC to dead peers),
+//! reassembles inbound TCP legs per `(source rank, channel)`, namespaces
+//! stream and channel ids by failover epoch, drops stale card
+//! completions, and calls the driver's `on_exchange` hook once when the
+//! gather, any awaited scatter and every TCP leg are in.
+//!
+//! A driver keeps only its data handling, plugged in through the
+//! `Driver` hooks: its bitstream, `begin`, what goes into each exchange
+//! and what it does with what comes out, its completed phase, the reset
+//! for a full restart and the resume from checkpoint `k`.
 
 pub mod coll;
 pub mod fft;
 pub mod sort;
 
 use std::any::Any;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
-use acc_fpga::{Bitstream, InicConfigure, InicConfigured, InicMode, InicRecover};
+use acc_coll::recovery::exchange_tag;
+use acc_fpga::{
+    Bitstream, GatherKind, InicConfigure, InicConfigured, InicExpect, InicGatherComplete, InicMode,
+    InicRecover, InicScatter, InicScatterDone, ScatterKind,
+};
 use acc_host::StallSchedule;
 use acc_net::MacAddr;
+use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, ComponentId, Ctx, SimDuration, SimTime};
 
 /// How a node reaches the network.
@@ -167,8 +184,220 @@ pub struct ResumeAt {
 /// dropped instead of firing into the new one.
 struct Timer<S>(u64, S);
 
-/// The per-rank state every driver shares: identity, network attachment
-/// and the card-failure recovery protocol that [`handle`] runs.
+/// The length of an inbound TCP leg.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LegLen {
+    /// Exactly this many bytes.
+    Fixed(usize),
+    /// An 8-byte little-endian length, then that many bytes: a stream
+    /// whose size the receiver cannot know in advance (sort's keys).
+    Prefixed,
+}
+
+/// The inbound streams of a card gather: `(source rank, total bytes)`
+/// each, as [`InicExpect`] takes them.
+pub(crate) type Sources = Vec<(u32, Option<usize>)>;
+
+/// What one exchange puts on the wire and what it waits for. Every
+/// part is optional; an exchange that waits for nothing completes as
+/// soon as it opens.
+#[derive(Default)]
+pub(crate) struct ExchangePlan {
+    /// The card gather to announce: operator and `(source rank, bytes)`
+    /// per inbound stream.
+    pub gather: Option<(GatherKind, Sources)>,
+    /// The card scatter to hand over: operator and partition bytes.
+    pub scatter: Option<(ScatterKind, Vec<u8>)>,
+    /// Whether completion waits for the scatter's [`InicScatterDone`].
+    pub await_scatter: bool,
+    /// Outbound TCP legs: destination rank and bytes.
+    pub sends: Vec<(usize, Vec<u8>)>,
+    /// Inbound TCP legs: source rank and length.
+    pub recvs: Vec<(usize, LegLen)>,
+}
+
+/// A completed exchange, its bytes moved out of the exchange.
+pub(crate) struct ExchangeDone {
+    /// The card gather, when the plan announced one.
+    pub gather: Option<InicGatherComplete>,
+    /// The inbound TCP legs in the plan's order: source rank and bytes
+    /// (a length prefix stripped).
+    pub legs: Vec<(usize, Vec<u8>)>,
+}
+
+/// Where an issued card scatter stands, as far as the exchange knows.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Scatter {
+    /// None issued, or an awaited one finished.
+    Clear,
+    /// Issued; completion waits for its [`InicScatterDone`].
+    Awaited,
+    /// Issued without waiting: in flight until the exchange completes.
+    Untracked,
+}
+
+/// The exchange in progress.
+struct Open {
+    stream: u32,
+    chan: u16,
+    /// `Some(None)` while the announced gather is outstanding.
+    gather: Option<Option<InicGatherComplete>>,
+    scatter: Scatter,
+    legs: Vec<(usize, LegLen)>,
+}
+
+impl Open {
+    fn awaiting_gather(&self) -> bool {
+        matches!(self.gather, Some(None))
+    }
+}
+
+/// One rank's exchange engine: TCP reassembly plus the exchange in
+/// progress.
+#[derive(Default)]
+struct Exchange {
+    /// Inbound TCP bytes per `(source rank, channel)`. Peers run ahead,
+    /// so legs of a later exchange wait here until it opens; bytes on a
+    /// stale epoch's channel are never read.
+    rx: BTreeMap<(usize, u16), Vec<u8>>,
+    open: Option<Open>,
+}
+
+impl Exchange {
+    /// Buffer delivered TCP bytes; the first delivery on a key is moved
+    /// in, not copied.
+    fn buffer(&mut self, src: usize, chan: u16, data: Vec<u8>) {
+        match self.rx.entry((src, chan)) {
+            Entry::Vacant(slot) => {
+                slot.insert(data);
+            }
+            Entry::Occupied(mut buf) => buf.get_mut().extend_from_slice(&data),
+        }
+    }
+
+    /// Record the card's gather if it belongs to the open exchange.
+    /// Anything else is a stale epoch's completion and is dropped; in
+    /// epoch 0 there is no stale traffic, so it is a protocol bug.
+    fn gathered(&mut self, g: InicGatherComplete, epoch: u64) -> bool {
+        match &mut self.open {
+            Some(o) if o.stream == g.stream && o.awaiting_gather() => {
+                o.gather = Some(Some(g));
+                true
+            }
+            _ => {
+                assert!(
+                    epoch > 0,
+                    "gather on stream {} matches no exchange",
+                    g.stream
+                );
+                false
+            }
+        }
+    }
+
+    /// Record an awaited scatter's completion; others are dropped.
+    fn scattered(&mut self, stream: u32) -> bool {
+        match &mut self.open {
+            Some(o) if o.stream == stream && o.scatter == Scatter::Awaited => {
+                o.scatter = Scatter::Clear;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The body of `src`'s leg once it is whole.
+    fn whole(&self, src: usize, chan: u16, len: LegLen) -> Option<usize> {
+        let buf = self.rx.get(&(src, chan))?;
+        let want = match len {
+            LegLen::Fixed(n) => n,
+            LegLen::Prefixed => {
+                let prefix = buf.get(..8)?.try_into().expect("8-byte length prefix");
+                8 + usize::try_from(u64::from_le_bytes(prefix)).expect("leg length fits usize")
+            }
+        };
+        (buf.len() >= want).then_some(want)
+    }
+
+    /// Close the open exchange if everything it waits for is in.
+    fn take_complete(&mut self) -> Option<ExchangeDone> {
+        let o = self.open.as_ref()?;
+        if o.awaiting_gather() || o.scatter == Scatter::Awaited {
+            return None;
+        }
+        let wants: Vec<usize> = o
+            .legs
+            .iter()
+            .map(|&(src, len)| self.whole(src, o.chan, len))
+            .collect::<Option<_>>()?;
+        let o = self.open.take().expect("checked open");
+        let legs = o
+            .legs
+            .iter()
+            .zip(wants)
+            .map(|(&(src, len), want)| {
+                let mut buf = self.rx.remove(&(src, o.chan)).expect("checked whole");
+                assert_eq!(
+                    buf.len(),
+                    want,
+                    "leg from rank {src} on channel {} over-delivered",
+                    o.chan
+                );
+                if let LegLen::Prefixed = len {
+                    buf.drain(..8);
+                }
+                (src, buf)
+            })
+            .collect();
+        Some(ExchangeDone {
+            gather: o.gather.flatten(),
+            legs,
+        })
+    }
+
+    /// Abandon the open exchange; returns its stream when card work is
+    /// still in flight on it (an announced gather outstanding, or a
+    /// scatter not known to be done), for the card to abort.
+    fn abort(&mut self) -> Option<u32> {
+        let o = self.open.take()?;
+        (o.awaiting_gather() || o.scatter != Scatter::Clear).then_some(o.stream)
+    }
+
+    /// What the open exchange still waits for, for wait states.
+    fn describe(&self) -> String {
+        let Some(o) = &self.open else {
+            return String::new();
+        };
+        let mut out = String::new();
+        if o.awaiting_gather() {
+            out += &format!("; awaiting gather on stream {}", o.stream);
+        }
+        if o.scatter == Scatter::Awaited {
+            out += &format!("; awaiting scatter on stream {}", o.stream);
+        }
+        let pending: Vec<String> = o
+            .legs
+            .iter()
+            .filter(|&&(src, len)| self.whole(src, o.chan, len).is_none())
+            .map(|&(src, _)| {
+                let have = self.rx.get(&(src, o.chan)).map_or(0, Vec::len);
+                format!("rank {src} ({have} B in)")
+            })
+            .collect();
+        if !pending.is_empty() {
+            out += &format!(
+                "; awaiting tcp legs on channel {} from {}",
+                o.chan,
+                pending.join(", ")
+            );
+        }
+        out
+    }
+}
+
+/// The per-rank state every driver shares: identity, network attachment,
+/// the exchange engine and the card-failure recovery protocol that
+/// [`handle`] runs.
 pub(crate) struct DriverCore {
     label: String,
     rank: usize,
@@ -181,6 +410,10 @@ pub(crate) struct DriverCore {
     /// rank, so streams, TCP channels and timers from before a failure
     /// can never satisfy work issued after it.
     epoch: u64,
+    /// Exchanges the driver runs per epoch: the span of its tags.
+    exchanges: usize,
+    /// The exchange engine.
+    xchg: Exchange,
     /// Whether this rank abandoned its card for the fallback NIC.
     failed_over: bool,
     /// Ranks whose cards died (rank-local recovery only).
@@ -207,13 +440,20 @@ pub(crate) struct DriverCore {
 }
 
 impl DriverCore {
-    fn new(label: String, rank: usize, attachment: Attachment) -> DriverCore {
+    /// A rank running `exchanges` exchanges per epoch.
+    fn new(label: String, rank: usize, attachment: Attachment, exchanges: usize) -> DriverCore {
+        assert!(
+            exchanges < usize::from(u16::MAX),
+            "exchange index must fit the TCP channel id"
+        );
         DriverCore {
             label,
             rank,
             attachment,
             fault_ctl: FaultCtl::default(),
             epoch: 0,
+            exchanges,
+            xchg: Exchange::default(),
             failed_over: false,
             dead: BTreeSet::new(),
             paused: false,
@@ -251,6 +491,13 @@ impl DriverCore {
     /// `drivers_done` — once, even when a resume re-runs the finished
     /// schedule.
     fn mark_done(&mut self, ctx: &mut Ctx) {
+        // Post-failover, bytes parked on dead-epoch channels are expected
+        // leftovers; on a clean run they are a protocol bug.
+        assert!(
+            self.epoch > 0 || self.xchg.rx.is_empty(),
+            "{}: leftover peer bytes at completion",
+            self.label
+        );
         self.done_at = Some(ctx.now());
         if !self.reported_done {
             self.reported_done = true;
@@ -269,13 +516,74 @@ impl DriverCore {
         }
     }
 
-    /// `", parked for recovery resume"` while paused, for wait states.
-    fn parked(&self) -> &'static str {
-        if self.paused {
-            ", parked for recovery resume"
-        } else {
-            ""
+    /// Send the wire half of `plan` as exchange `index` of this epoch
+    /// and arm the exchange. Card requests go out before the TCP legs,
+    /// which ride the commodity NIC, or on an INIC the fallback NIC
+    /// (legs to dead peers).
+    fn issue(&mut self, index: usize, plan: ExchangePlan, ctx: &mut Ctx) {
+        let tag = exchange_tag(self.epoch, self.exchanges, index);
+        let (stream, chan) = (u32::from(tag) + 1, tag);
+        let scatter = match plan.scatter {
+            None => Scatter::Clear,
+            Some(_) if plan.await_scatter => Scatter::Awaited,
+            Some(_) => Scatter::Untracked,
+        };
+        let gather = plan.gather.is_some().then_some(None);
+        if gather.is_some() || plan.scatter.is_some() {
+            let Attachment::Inic { card, macs, .. } = &self.attachment else {
+                panic!("{}: card exchange without a card", self.label);
+            };
+            if let Some((kind, sources)) = plan.gather {
+                ctx.send_now(
+                    *card,
+                    InicExpect {
+                        stream,
+                        kind,
+                        sources,
+                    },
+                );
+            }
+            if let Some((kind, data)) = plan.scatter {
+                let dests = macs.clone();
+                ctx.send_now(
+                    *card,
+                    InicScatter {
+                        stream,
+                        kind,
+                        data,
+                        dests,
+                    },
+                );
+            }
         }
+        if !plan.sends.is_empty() {
+            let (nic, macs) = match &self.attachment {
+                Attachment::Tcp { nic, macs } => (*nic, macs),
+                Attachment::Inic {
+                    fallback: Some((nic, macs)),
+                    ..
+                } => (*nic, macs),
+                Attachment::Inic { fallback: None, .. } => {
+                    panic!("{}: degraded exchange without a fallback path", self.label)
+                }
+            };
+            for (to, data) in plan.sends {
+                let peer = macs[to];
+                ctx.send_now(nic, TcpSend { peer, chan, data });
+            }
+        }
+        assert!(
+            self.xchg.open.is_none(),
+            "{}: exchange already open",
+            self.label
+        );
+        self.xchg.open = Some(Open {
+            stream,
+            chan,
+            gather,
+            scatter,
+            legs: plan.recvs,
+        });
     }
 
     /// Abandon the card for the commodity fallback NIC.
@@ -321,18 +629,14 @@ pub(crate) trait Driver: Component + Sized + 'static {
     /// landed on an INIC, and over the fallback after a full restart.
     fn begin(&mut self, ctx: &mut Ctx);
 
-    /// Abandon the in-flight exchange; returns the card stream to abort.
-    /// Called before the failover bumps the epoch, so the stream named
-    /// is the one the card's demux and retransmit state still reference.
-    fn abort_in_flight(&mut self) -> Option<u32>;
-
     /// Highest checkpoint this rank can resume from (its final phase
     /// once done), reported to the coordinator.
     fn completed_phase(&self) -> u32;
 
     /// Forget the aborted attempt before a full restart from the
-    /// retained input; `node` is the rank whose card died.
-    fn reset(&mut self, node: usize, ctx: &mut Ctx);
+    /// retained input; `node` is the rank whose card died and `stream`
+    /// the card stream the abandoned exchange left in flight.
+    fn reset(&mut self, node: usize, stream: Option<u32>, ctx: &mut Ctx);
 
     /// Restore checkpoint `phase` (0 = from scratch) and continue.
     fn resume(&mut self, phase: u32, ctx: &mut Ctx);
@@ -340,8 +644,53 @@ pub(crate) trait Driver: Component + Sized + 'static {
     /// A charged compute window of the current epoch closed.
     fn on_step(&mut self, step: Self::Step, ctx: &mut Ctx);
 
-    /// Every event the recovery core does not handle itself.
-    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx);
+    /// The open exchange completed.
+    fn on_exchange(&mut self, done: ExchangeDone, ctx: &mut Ctx);
+
+    /// One driver-specific detail for the wait state.
+    fn wait_detail(&self) -> Option<String> {
+        None
+    }
+
+    /// Open exchange `index` of the current epoch, and complete it at
+    /// once if everything it waits for is already here.
+    fn open_exchange(&mut self, index: usize, plan: ExchangePlan, ctx: &mut Ctx) {
+        self.core_mut().issue(index, plan, ctx);
+        poll(self, ctx);
+    }
+}
+
+/// Hand the open exchange to the driver if it completed.
+fn poll<D: Driver>(d: &mut D, ctx: &mut Ctx) {
+    if let Some(done) = d.core_mut().xchg.take_complete() {
+        d.on_exchange(done, ctx);
+    }
+}
+
+/// The wait state of every driver: rank, phase, epoch, what the open
+/// exchange still waits for, and the driver's detail.
+fn wait_state<D: Driver>(d: &D) -> Option<String> {
+    let p = d.progress();
+    if p.done {
+        return None;
+    }
+    let core = d.core();
+    let mut out = format!(
+        "rank {} in {} since {} (epoch {}{}",
+        p.rank,
+        p.phase,
+        p.entered,
+        core.epoch,
+        core.xchg.describe()
+    );
+    if let Some(detail) = d.wait_detail() {
+        out += &format!("; {detail}");
+    }
+    if core.paused {
+        out += "; parked for recovery resume";
+    }
+    out.push(')');
+    Some(out)
 }
 
 /// The one event prologue of every driver.
@@ -399,14 +748,42 @@ fn handle<D: Driver>(d: &mut D, ev: Box<dyn Any>, ctx: &mut Ctx) {
         }
         return;
     }
-    match ev.downcast::<Timer<D::Step>>() {
+    let ev = match ev.downcast::<Timer<D::Step>>() {
         Ok(timer) => {
             let Timer(epoch, step) = *timer;
             if epoch == d.core().epoch {
                 d.on_step(step, ctx);
             } // else: a timer from an abandoned attempt
+            return;
         }
-        Err(ev) => d.on_event(ev, ctx),
+        Err(ev) => ev,
+    };
+    let core = d.core_mut();
+    let ev = match ev.downcast::<TcpDelivered>() {
+        Ok(dlv) => {
+            let TcpDelivered { peer, chan, data } = *dlv;
+            let src = core
+                .attachment
+                .resolve_src(peer)
+                .expect("delivery from an unknown MAC");
+            core.xchg.buffer(src, chan, data);
+            return poll(d, ctx);
+        }
+        Err(ev) => ev,
+    };
+    let ev = match ev.downcast::<InicGatherComplete>() {
+        Ok(g) => {
+            if core.xchg.gathered(*g, core.epoch) {
+                poll(d, ctx);
+            }
+            return;
+        }
+        Err(ev) => ev,
+    };
+    match ev.downcast_ref::<InicScatterDone>() {
+        Some(s) if core.xchg.scattered(s.stream) => poll(d, ctx),
+        Some(_) => {} // not awaited, or a stale epoch's
+        None => panic!("{}: unknown event", core.label),
     }
 }
 
@@ -416,11 +793,13 @@ fn handle<D: Driver>(d: &mut D, ev: Box<dyn Any>, ctx: &mut Ctx) {
 /// path — and restarts from its retained input over the commodity
 /// fallback NIC. Only the original start instant survives.
 fn full_restart_failover<D: Driver>(d: &mut D, node: usize, ctx: &mut Ctx) {
-    let core = d.core();
+    let core = d.core_mut();
     if core.failed_over || matches!(core.attachment, Attachment::Tcp { .. }) {
         return; // a second card death changes nothing
     }
-    d.reset(node, ctx);
+    // The restart forgets every buffered leg along with the exchange.
+    let stream = std::mem::take(&mut core.xchg).abort();
+    d.reset(node, stream, ctx);
     let core = d.core_mut();
     core.fail_over(ctx);
     core.epoch += 1;
@@ -436,8 +815,8 @@ fn rank_local_failover<D: Driver>(d: &mut D, node: usize, coord: ComponentId, ct
     if !d.core_mut().dead.insert(node) {
         return; // duplicate death notice
     }
-    let abort_stream = d.abort_in_flight();
     let core = d.core_mut();
+    let abort_stream = core.xchg.abort();
     core.epoch += 1;
     core.paused = true;
     if core.rank == node {
@@ -567,6 +946,128 @@ pub fn recv_buckets_for(keys_per_node: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Open exchange `index` of `exchanges` in `epoch` on `x`, waiting
+    /// for `legs` only.
+    fn open(
+        x: &mut Exchange,
+        epoch: u64,
+        exchanges: usize,
+        index: usize,
+        legs: Vec<(usize, LegLen)>,
+    ) -> u16 {
+        let chan = exchange_tag(epoch, exchanges, index);
+        x.open = Some(Open {
+            stream: u32::from(chan) + 1,
+            chan,
+            gather: None,
+            scatter: Scatter::Clear,
+            legs,
+        });
+        chan
+    }
+
+    fn prefixed(body: &[u8]) -> Vec<u8> {
+        let mut data = (body.len() as u64).to_le_bytes().to_vec();
+        data.extend_from_slice(body);
+        data
+    }
+
+    #[test]
+    fn length_prefix_split_across_two_deliveries_completes() {
+        let mut x = Exchange::default();
+        let chan = open(&mut x, 0, 1, 0, vec![(2, LegLen::Prefixed)]);
+        let data = prefixed(&[7; 12]);
+        x.buffer(2, chan, data[..5].to_vec());
+        assert!(x.take_complete().is_none(), "half a length prefix");
+        x.buffer(2, chan, data[5..].to_vec());
+        let done = x.take_complete().expect("prefix and body are in");
+        assert_eq!(done.legs, vec![(2, vec![7; 12])], "prefix stripped");
+        assert!(x.rx.is_empty() && x.open.is_none());
+    }
+
+    #[test]
+    fn body_split_over_many_deliveries_completes_on_the_last() {
+        let mut x = Exchange::default();
+        let body: Vec<u8> = (0..=255).collect();
+        let chan = open(
+            &mut x,
+            0,
+            1,
+            0,
+            vec![(1, LegLen::Prefixed), (3, LegLen::Fixed(body.len()))],
+        );
+        let stream = prefixed(&body);
+        for chunk in stream.chunks(7) {
+            assert!(x.take_complete().is_none());
+            x.buffer(1, chan, chunk.to_vec());
+        }
+        for chunk in body.chunks(10) {
+            assert!(x.take_complete().is_none(), "rank 3's leg is short");
+            x.buffer(3, chan, chunk.to_vec());
+        }
+        let done = x.take_complete().expect("both legs whole");
+        assert_eq!(done.legs, vec![(1, body.clone()), (3, body)]);
+    }
+
+    #[test]
+    fn stale_epoch_bytes_stay_buffered_and_never_complete() {
+        let mut x = Exchange::default();
+        let stale = exchange_tag(0, 2, 0);
+        x.buffer(1, stale, vec![9; 16]);
+        // The failover bumped the epoch: the same transpose now runs on
+        // a fresh channel, and the old bytes are whole but stale.
+        let chan = open(&mut x, 1, 2, 0, vec![(1, LegLen::Fixed(16))]);
+        assert_ne!(chan, stale);
+        assert!(x.take_complete().is_none());
+        x.buffer(1, chan, vec![4; 16]);
+        let done = x.take_complete().expect("current leg whole");
+        assert_eq!(done.legs, vec![(1, vec![4; 16])]);
+        assert_eq!(x.rx.get(&(1, stale)), Some(&vec![9; 16]));
+    }
+
+    #[test]
+    fn early_legs_of_a_future_round_complete_it_when_it_opens() {
+        let mut x = Exchange::default();
+        let round1 = open(&mut x, 0, 4, 1, vec![(0, LegLen::Fixed(8))]);
+        // A peer running ahead delivers its round-2 leg first.
+        x.buffer(0, exchange_tag(0, 4, 2), vec![2; 8]);
+        assert!(x.take_complete().is_none());
+        x.buffer(0, round1, vec![1; 8]);
+        assert_eq!(
+            x.take_complete().expect("round 1").legs,
+            vec![(0, vec![1; 8])]
+        );
+        open(&mut x, 0, 4, 2, vec![(0, LegLen::Fixed(8))]);
+        let done = x.take_complete().expect("round 2's leg was already here");
+        assert_eq!(done.legs, vec![(0, vec![2; 8])]);
+        assert!(x.rx.is_empty());
+    }
+
+    #[test]
+    fn abort_names_the_stream_only_while_card_work_is_in_flight() {
+        let mut x = Exchange::default();
+        open(&mut x, 0, 1, 0, vec![]);
+        assert_eq!(x.abort(), None, "a TCP-only exchange has no card stream");
+        for (scatter, in_flight) in [
+            (Scatter::Clear, false),
+            (Scatter::Awaited, true),
+            (Scatter::Untracked, true),
+        ] {
+            open(&mut x, 0, 1, 0, vec![]);
+            x.open.as_mut().expect("open").scatter = scatter;
+            assert_eq!(x.abort(), in_flight.then_some(1), "{scatter:?}");
+        }
+        open(&mut x, 1, 1, 0, vec![]);
+        x.open.as_mut().expect("open").gather = Some(None);
+        let stale = InicGatherComplete {
+            stream: 1,
+            data: Vec::new(),
+            bucket_bounds: None,
+        };
+        assert!(!x.gathered(stale, 1), "epoch 0's gather is dropped");
+        assert_eq!(x.abort(), Some(3), "the epoch-1 gather is outstanding");
+    }
 
     #[test]
     fn bucket_count_floors_at_128() {

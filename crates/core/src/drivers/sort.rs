@@ -16,30 +16,29 @@
 //!   provide higher performance than having the host sort directly into
 //!   16 × N buckets".
 //!
-//! Fault handling runs in the shared recovery core (`drivers::handle`):
-//! stalled hosts defer every event, and under rank-local recovery a
-//! dead rank degrades to [`SortVariant::HostOnly`] over its fallback
-//! NIC while healthy ranks keep the card, carrying the dead ranks'
-//! buckets as length-prefixed TCP side streams next to the card
+//! The key exchange is one exchange of the driver core
+//! (`drivers::handle` and its `Exchange`), which also runs fault
+//! handling: stalled hosts defer every event, and under rank-local
+//! recovery a dead rank degrades to [`SortVariant::HostOnly`] over its
+//! fallback NIC while healthy ranks keep the card, carrying the dead
+//! ranks' buckets as length-prefixed TCP side streams next to the card
 //! exchange. The post-exchange state can be checkpointed so a later
 //! failure resumes from the exchange instead of re-running it.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use acc_algos::sort::{
     bucket_index, bucket_sort, bytes_to_keys, count_sort, destination_by_splitters,
     destination_rank, is_sorted, keys_to_bytes,
 };
-use acc_fpga::{
-    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicMode, InicScatter, InicScatterDone,
-    ScatterKind,
-};
+use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
-use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
 
-use super::{recv_buckets_for, Attachment, Driver, DriverCore, DriverProgress};
+use super::{
+    recv_buckets_for, Attachment, Driver, DriverCore, DriverProgress, ExchangeDone, ExchangePlan,
+    LegLen,
+};
 
 /// How the receive-side bucketing is split between card and host.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,9 +82,7 @@ pub(crate) enum Step {
 struct ExchangeCkpt {
     /// Card gather result (INIC variants).
     card: Option<(Vec<u8>, Vec<usize>)>,
-    /// Keys received over TCP (commodity path).
-    received: Vec<Vec<u32>>,
-    /// Keys received over the mixed-technology TCP side streams.
+    /// Keys held outside the card's gather.
     tcp: Vec<Vec<u32>>,
     /// The variant the exchange ran under — the data layout to resume
     /// with, even if this rank degraded afterwards (the remaining
@@ -121,19 +118,10 @@ pub struct SortDriver {
     recv_buckets: usize,
     phase: Phase,
     phase_entered: SimTime,
-    /// TCP receive reassembly: raw bytes per (src rank, channel). The
-    /// channel namespaces the exchange by epoch, so bytes from an
-    /// aborted attempt never leak into the restarted one.
-    rx: BTreeMap<(usize, u16), Vec<u8>>,
-    /// Commodity: keys received (parsed once each stream's length-prefix
-    /// is satisfied).
-    received_keys: Vec<Vec<u32>>,
-    streams_pending: usize,
-    /// Mixed-technology exchange: keys from degraded peers, carried over
-    /// TCP next to the card exchange.
-    mixed_tcp_keys: Vec<Vec<u32>>,
-    /// Mixed-technology exchange: TCP side streams still outstanding.
-    tcp_pending: usize,
+    /// Keys held outside the card's gather: on the commodity path this
+    /// rank's own bucket plus every peer's stream, on an INIC the
+    /// mixed-technology side streams from degraded peers.
+    tcp_keys: Vec<Vec<u32>>,
     /// INIC gather result (16 or N card buckets, concatenated).
     card_bucket_data: Option<(Vec<u8>, Vec<usize>)>,
     sorted: Vec<u32>,
@@ -155,7 +143,8 @@ impl SortDriver {
     ) -> SortDriver {
         let recv_buckets = recv_buckets_for(keys.len() as u64);
         SortDriver {
-            core: DriverCore::new(format!("sort-driver{rank}"), rank, attachment),
+            // One exchange: the key exchange.
+            core: DriverCore::new(format!("sort-driver{rank}"), rank, attachment, 1),
             p,
             variant,
             kernels,
@@ -164,11 +153,7 @@ impl SortDriver {
             recv_buckets,
             phase: Phase::Init,
             phase_entered: SimTime::ZERO,
-            rx: BTreeMap::new(),
-            received_keys: Vec::new(),
-            streams_pending: 0,
-            mixed_tcp_keys: Vec::new(),
-            tcp_pending: 0,
+            tcp_keys: Vec::new(),
             card_bucket_data: None,
             sorted: Vec::new(),
             ckpt1: None,
@@ -228,37 +213,11 @@ impl SortDriver {
         DataSize::from_bytes(self.keys.len() as u64 * 4)
     }
 
-    /// INIC stream id for the exchange, namespaced by epoch so a
-    /// restarted exchange never collides with the aborted one's demux
-    /// state (epoch 0 keeps the historical id 1).
-    fn stream(&self) -> u32 {
-        (self.core.epoch as u32) * 8 + 1
-    }
-
-    /// TCP channel for the exchange, namespaced like [`stream`].
-    fn chan(&self) -> u16 {
-        (self.core.epoch as u16) * 4 + 1
-    }
-
-    /// Capture the post-exchange checkpoint (called at exchange
-    /// completion, before any phase consumes the buffers).
-    fn capture_ckpt(&mut self) {
-        if !self.core.ckpt_armed() {
-            return;
-        }
-        self.ckpt1 = Some(ExchangeCkpt {
-            card: self.card_bucket_data.clone(),
-            received: self.received_keys.clone(),
-            tcp: self.mixed_tcp_keys.clone(),
-            variant: self.variant,
-        });
-    }
-
     // ---- start ----
 
     fn start(&mut self, ctx: &mut Ctx) {
         self.core.started_at.get_or_insert(ctx.now());
-        self.streams_pending = self.p - 1;
+        self.tcp_keys.clear();
         match self.variant {
             SortVariant::HostOnly | SortVariant::ProtocolOnly => {
                 self.phase = Phase::Bucket1;
@@ -272,77 +231,37 @@ impl SortDriver {
                 // Card does phase 1; hand the raw keys straight over.
                 self.phase = Phase::Exchange;
                 self.phase_entered = ctx.now();
-                let Attachment::Inic {
-                    card,
-                    macs,
-                    fallback,
-                    ..
-                } = &self.core.attachment
-                else {
-                    panic!("INIC variant without INIC attachment");
-                };
-                let card = *card;
-                let macs = macs.clone();
-                let fallback = fallback.clone();
-                let k = self.card_recv_buckets();
-                let dead = self.core.dead.clone();
-                let stream = self.stream();
-                ctx.send_now(
-                    card,
-                    InicExpect {
-                        stream,
-                        kind: GatherKind::BucketKeys { k },
-                        sources: (0..self.p as u32)
-                            .filter(|s| !dead.contains(&(*s as usize)))
-                            .map(|s| (s, None))
-                            .collect(),
-                    },
-                );
-                ctx.send_now(
-                    card,
-                    InicScatter {
-                        stream,
-                        kind: ScatterKind::BucketKeys {
-                            p: self.p,
-                            splitters: self.splitters.clone(),
-                        },
-                        data: keys_to_bytes(&self.keys),
-                        dests: macs,
-                    },
-                );
+                let dead = &self.core.dead;
                 // Mixed-technology side streams: the card drops chunks
                 // destined to dead peers, so the host carries those
                 // buckets over the fallback TCP path instead.
-                self.tcp_pending = dead.len();
-                if !dead.is_empty() {
-                    let (fb_nic, fb_macs) =
-                        fallback.expect("rank-local degradation needs a fallback path");
-                    let chan = self.chan();
-                    let buckets = self.partition_keys();
-                    for &d in &dead {
-                        let body = keys_to_bytes(&buckets[d]);
-                        let mut data = (body.len() as u64).to_le_bytes().to_vec();
-                        data.extend_from_slice(&body);
-                        ctx.send_now(
-                            fb_nic,
-                            TcpSend {
-                                peer: fb_macs[d],
-                                chan,
-                                data,
-                            },
-                        );
-                    }
-                    // Streams the degraded peers sent while this rank
-                    // was still paused are already buffered; consume
-                    // them now — no further delivery will re-trigger
-                    // the parse.
-                    for &d in &dead {
-                        if let Some(keys) = self.take_complete_stream(d, chan) {
-                            self.mixed_tcp_keys.push(keys);
-                            self.tcp_pending -= 1;
-                        }
-                    }
-                }
+                let buckets = if dead.is_empty() {
+                    Vec::new()
+                } else {
+                    self.partition_keys()
+                };
+                let plan = ExchangePlan {
+                    gather: Some((
+                        GatherKind::BucketKeys {
+                            k: self.card_recv_buckets(),
+                        },
+                        (0..self.p as u32)
+                            .filter(|s| !dead.contains(&(*s as usize)))
+                            .map(|s| (s, None))
+                            .collect(),
+                    )),
+                    scatter: Some((
+                        ScatterKind::BucketKeys {
+                            p: self.p,
+                            splitters: self.splitters.clone(),
+                        },
+                        keys_to_bytes(&self.keys),
+                    )),
+                    sends: dead.iter().map(|&d| (d, key_stream(&buckets[d]))).collect(),
+                    recvs: dead.iter().map(|&d| (d, LegLen::Prefixed)).collect(),
+                    ..ExchangePlan::default()
+                };
+                self.open_exchange(0, plan, ctx);
             }
         }
     }
@@ -357,149 +276,47 @@ impl SortDriver {
         }
     }
 
-    // ---- commodity path ----
-
+    /// Host phase-1 bucket pass done: exchange the buckets — over TCP
+    /// on the commodity path, riding the card's lightweight protocol in
+    /// protocol-processor mode.
     fn on_bucket1_done(&mut self, ctx: &mut Ctx) {
         assert_eq!(self.phase, Phase::Bucket1);
         self.timings.bucket1 += ctx.now().since(self.phase_entered);
         self.phase = Phase::Exchange;
         self.phase_entered = ctx.now();
-        if self.variant == SortVariant::ProtocolOnly {
-            return self.raw_exchange_via_card(ctx);
-        }
-        let Attachment::Tcp { nic, macs } = &self.core.attachment else {
-            panic!("HostOnly variant without TCP attachment");
-        };
-        let nic = *nic;
-        let macs = macs.clone();
-        let chan = self.chan();
-        let buckets = self.partition_keys();
-        for step in 1..self.p {
-            let q = (self.core.rank + step) % self.p;
-            // Length-prefixed key stream: the receiver learns each
-            // sender's (data-dependent) total from the first 8 bytes.
-            let body = keys_to_bytes(&buckets[q]);
-            let mut data = (body.len() as u64).to_le_bytes().to_vec();
-            data.extend_from_slice(&body);
-            ctx.send_now(
-                nic,
-                TcpSend {
-                    peer: macs[q],
-                    chan,
-                    data,
-                },
-            );
-        }
-        // Our own bucket stays home.
-        self.received_keys.push(buckets[self.core.rank].clone());
-        self.check_exchange_complete(ctx);
-    }
-
-    /// Protocol-processor path: host-bucketed parts ride the card's
-    /// lightweight protocol.
-    fn raw_exchange_via_card(&mut self, ctx: &mut Ctx) {
-        let Attachment::Inic {
-            card, macs, mode, ..
-        } = &self.core.attachment
-        else {
-            panic!("ProtocolOnly variant without INIC attachment");
-        };
-        debug_assert_eq!(*mode, InicMode::ProtocolProcessor);
-        let card = *card;
-        let macs = macs.clone();
-        let stream = self.stream();
-        let buckets = self.partition_keys();
-        let mut parts = vec![0usize; self.p];
-        let mut data = Vec::with_capacity(self.keys.len() * 4);
-        for step in 0..self.p {
-            let q = (self.core.rank + step) % self.p;
-            parts[q] = buckets[q].len() * 4;
-            data.extend(keys_to_bytes(&buckets[q]));
-        }
-        ctx.send_now(
-            card,
-            InicExpect {
-                stream,
-                kind: GatherKind::Raw,
-                sources: (0..self.p as u32).map(|s| (s, None)).collect(),
-            },
-        );
-        ctx.send_now(
-            card,
-            InicScatter {
-                stream,
-                kind: ScatterKind::Raw { parts },
-                data,
-                dests: macs,
-            },
-        );
-    }
-
-    /// Pop the buffered stream from `(src, chan)` if it is complete
-    /// (8-byte length prefix + body), decoded to keys.
-    fn take_complete_stream(&mut self, src: usize, chan: u16) -> Option<Vec<u32>> {
-        let buf = self.rx.get(&(src, chan))?;
-        if buf.len() < 8 {
-            return None;
-        }
-        let want = usize::try_from(u64::from_le_bytes(
-            buf[..8]
-                .try_into()
-                .expect("sort stream length prefix is 8 bytes"),
-        ))
-        .expect("sort stream length fits usize");
-        if buf.len() < 8 + want {
-            return None;
-        }
-        assert_eq!(
-            buf.len(),
-            8 + want,
-            "sender sent more than one stream on this channel"
-        );
-        let keys = bytes_to_keys(&buf[8..]);
-        self.rx.remove(&(src, chan));
-        Some(keys)
-    }
-
-    fn on_tcp_delivered(&mut self, d: TcpDelivered, ctx: &mut Ctx) {
-        let src = self
-            .core
-            .attachment
-            .resolve_src(d.peer)
-            .expect("delivery from unknown MAC");
-        let chan_now = self.chan();
-        let buf = self.rx.entry((src, d.chan)).or_default();
-        buf.extend_from_slice(&d.data);
-        if self.core.paused || d.chan != chan_now {
-            // Stale epoch (the exchange it belonged to was abandoned) or
-            // a paused host: leave it buffered, it is never consumed.
-            return;
-        }
-        let Some(keys) = self.take_complete_stream(src, d.chan) else {
-            return; // stream still in flight
-        };
-        if matches!(self.core.attachment, Attachment::Inic { .. }) {
-            // Mixed-technology side stream from a degraded peer.
-            assert!(self.tcp_pending > 0, "unexpected TCP stream on INIC rank");
-            self.mixed_tcp_keys.push(keys);
-            self.tcp_pending -= 1;
-            self.try_finish_inic_exchange(ctx);
+        let rank = self.core.rank;
+        let mut buckets = self.partition_keys();
+        let plan = if self.variant == SortVariant::ProtocolOnly {
+            let mut parts = vec![0usize; self.p];
+            let mut data = Vec::with_capacity(self.keys.len() * 4);
+            for step in 0..self.p {
+                let q = (rank + step) % self.p;
+                parts[q] = buckets[q].len() * 4;
+                data.extend(keys_to_bytes(&buckets[q]));
+            }
+            ExchangePlan {
+                gather: Some((
+                    GatherKind::Raw,
+                    (0..self.p as u32).map(|s| (s, None)).collect(),
+                )),
+                scatter: Some((ScatterKind::Raw { parts }, data)),
+                ..ExchangePlan::default()
+            }
         } else {
-            self.received_keys.push(keys);
-            self.streams_pending -= 1;
-            self.check_exchange_complete(ctx);
-        }
-    }
-
-    fn check_exchange_complete(&mut self, ctx: &mut Ctx) {
-        if self.core.paused || self.phase != Phase::Exchange || self.streams_pending > 0 {
-            return;
-        }
-        if matches!(self.variant, SortVariant::HostOnly) {
-            self.timings.comm += ctx.now().since(self.phase_entered);
-            self.capture_ckpt();
-            self.begin_bucket2(ctx);
-        }
+            let peers: Vec<usize> = (1..self.p).map(|step| (rank + step) % self.p).collect();
+            let plan = ExchangePlan {
+                sends: peers
+                    .iter()
+                    .map(|&q| (q, key_stream(&buckets[q])))
+                    .collect(),
+                recvs: peers.iter().map(|&q| (q, LegLen::Prefixed)).collect(),
+                ..ExchangePlan::default()
+            };
+            // Our own bucket stays home.
+            self.tcp_keys.push(std::mem::take(&mut buckets[rank]));
+            plan
+        };
+        self.open_exchange(0, plan, ctx);
     }
 
     /// Phase-2 host bucket pass (commodity; also the prototype's second
@@ -507,19 +324,11 @@ impl SortDriver {
     fn begin_bucket2(&mut self, ctx: &mut Ctx) {
         self.phase = Phase::Bucket2;
         self.phase_entered = ctx.now();
-        let n_keys: u64 = match self.variant {
-            SortVariant::HostOnly => self.received_keys.iter().map(|v| v.len() as u64).sum(),
-            SortVariant::InicTwoPhase | SortVariant::ProtocolOnly => {
-                let (data, _) = self.card_bucket_data.as_ref().expect("gather data");
-                (data.len() / 4) as u64
-                    + self
-                        .mixed_tcp_keys
-                        .iter()
-                        .map(|v| v.len() as u64)
-                        .sum::<u64>()
-            }
-            SortVariant::InicFull => unreachable!("ideal INIC skips phase 2"),
-        };
+        let card_keys = self
+            .card_bucket_data
+            .as_ref()
+            .map_or(0, |(data, _)| (data.len() / 4) as u64);
+        let n_keys = card_keys + self.tcp_keys.iter().map(|v| v.len() as u64).sum::<u64>();
         let working = DataSize::from_bytes(n_keys * 4);
         let charge = self.kernels.bucket_sort_time(n_keys, working);
         self.core.timer_in(ctx, charge, Step::Bucket2);
@@ -537,38 +346,32 @@ impl SortDriver {
         self.phase = Phase::Count;
         self.phase_entered = ctx.now();
         // Assemble the node's keys grouped into N cache-sized buckets.
-        let grouped: Vec<Vec<u32>> = match self.variant {
-            SortVariant::HostOnly => {
-                let all: Vec<u32> = self.received_keys.concat();
-                bucket_sort_into_n(&all, self.recv_buckets)
+        let card = self.card_bucket_data.take();
+        let grouped: Vec<Vec<u32>> = if self.variant == SortVariant::InicFull {
+            let (data, bounds) = card.expect("gather data");
+            let keys = bytes_to_keys(&data);
+            let mut out = Vec::with_capacity(bounds.len());
+            let mut start = 0usize;
+            for &end in &bounds {
+                out.push(keys[start / 4..end / 4].to_vec());
+                start = end;
             }
-            SortVariant::InicTwoPhase | SortVariant::ProtocolOnly => {
-                let (data, _bounds) = self.card_bucket_data.take().expect("gather data");
-                let mut all = bytes_to_keys(&data);
-                for keys in &self.mixed_tcp_keys {
-                    all.extend_from_slice(keys);
+            // Mixed-technology keys arrive unbucketed; sprinkle them
+            // into the card's buckets (order within a bucket is
+            // irrelevant — count-sort sorts each fully).
+            for keys in &self.tcp_keys {
+                for &k in keys {
+                    out[bucket_index(k, self.recv_buckets)].push(k);
                 }
-                bucket_sort_into_n(&all, self.recv_buckets)
             }
-            SortVariant::InicFull => {
-                let (data, bounds) = self.card_bucket_data.take().expect("gather data");
-                let keys = bytes_to_keys(&data);
-                let mut out = Vec::with_capacity(bounds.len());
-                let mut start = 0usize;
-                for &end in &bounds {
-                    out.push(keys[start / 4..end / 4].to_vec());
-                    start = end;
-                }
-                // Mixed-technology keys arrive unbucketed; sprinkle them
-                // into the card's buckets (order within a bucket is
-                // irrelevant — count-sort sorts each fully).
-                for keys in &self.mixed_tcp_keys {
-                    for &k in keys {
-                        out[bucket_index(k, self.recv_buckets)].push(k);
-                    }
-                }
-                out
+            out
+        } else {
+            let mut all = card.map_or_else(Vec::new, |(data, _)| bytes_to_keys(&data));
+            all.reserve_exact(self.tcp_keys.iter().map(Vec::len).sum());
+            for keys in &self.tcp_keys {
+                all.extend_from_slice(keys);
             }
+            bucket_sort_into_n(&all, self.recv_buckets)
         };
         let n_keys: u64 = grouped.iter().map(|b| b.len() as u64).sum();
         let bucket_bytes = DataSize::from_bytes((n_keys * 4 / self.recv_buckets as u64).max(1));
@@ -602,38 +405,15 @@ impl SortDriver {
                         .all(|&k| destination_rank(k, self.p) == self.core.rank),
         });
     }
+}
 
-    // ---- INIC path ----
-
-    /// Card gather stored; finish the exchange once the mixed-technology
-    /// TCP side streams (if any) are also in.
-    fn try_finish_inic_exchange(&mut self, ctx: &mut Ctx) {
-        if self.core.paused || self.phase != Phase::Exchange {
-            return;
-        }
-        if self.card_bucket_data.is_none() || self.tcp_pending > 0 {
-            return;
-        }
-        self.timings.comm += ctx.now().since(self.phase_entered);
-        self.capture_ckpt();
-        match self.variant {
-            SortVariant::InicFull => self.begin_count(ctx),
-            SortVariant::InicTwoPhase | SortVariant::ProtocolOnly => self.begin_bucket2(ctx),
-            SortVariant::HostOnly => unreachable!(),
-        }
-    }
-
-    fn on_gather(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
-        if self.core.failed_over {
-            return; // stale card traffic from before the failure
-        }
-        if self.core.paused || self.phase != Phase::Exchange || g.stream != self.stream() {
-            return; // gather of an abandoned exchange
-        }
-        let bounds = g.bucket_bounds.expect("bucket/raw gather carries bounds");
-        self.card_bucket_data = Some((g.data, bounds));
-        self.try_finish_inic_exchange(ctx);
-    }
+/// A key stream with its 8-byte length prefix: the receiver learns
+/// each sender's (data-dependent) total from the first 8 bytes.
+fn key_stream(keys: &[u32]) -> Vec<u8> {
+    let body = keys_to_bytes(keys);
+    let mut data = (body.len() as u64).to_le_bytes().to_vec();
+    data.extend_from_slice(&body);
+    data
 }
 
 /// Group keys into `n` buckets by top bits, preserving order (the
@@ -676,11 +456,6 @@ impl Driver for SortDriver {
         self.start(ctx);
     }
 
-    fn abort_in_flight(&mut self) -> Option<u32> {
-        let on_card = matches!(self.core.attachment, Attachment::Inic { .. });
-        (on_card && self.phase == Phase::Exchange).then(|| self.stream())
-    }
-
     /// Highest phase this rank could resume from (0 = start, 1 = after
     /// the exchange, 2 = finished).
     fn completed_phase(&self) -> u32 {
@@ -695,10 +470,8 @@ impl Driver for SortDriver {
 
     /// The input keys were never mutated, so the restart recomputes
     /// from scratch over the host-only path.
-    fn reset(&mut self, _node: usize, _ctx: &mut Ctx) {
+    fn reset(&mut self, _node: usize, _stream: Option<u32>, _ctx: &mut Ctx) {
         self.variant = SortVariant::HostOnly;
-        self.rx.clear();
-        self.received_keys.clear();
         self.card_bucket_data = None;
         self.sorted.clear();
         self.timings = SortTimings::default();
@@ -712,9 +485,6 @@ impl Driver for SortDriver {
         self.sorted.clear();
         match phase {
             0 => {
-                self.received_keys.clear();
-                self.mixed_tcp_keys.clear();
-                self.tcp_pending = 0;
                 if self.core.failed_over {
                     self.variant = SortVariant::HostOnly;
                 }
@@ -726,8 +496,7 @@ impl Driver for SortDriver {
                     .clone()
                     .expect("resume phase 1 without its checkpoint");
                 self.card_bucket_data = ck.card;
-                self.received_keys = ck.received;
-                self.mixed_tcp_keys = ck.tcp;
+                self.tcp_keys = ck.tcp;
                 // Resume under the snapshot's variant: it names the data
                 // layout, and the remaining phases are pure host compute
                 // even if this rank has since lost its card.
@@ -749,19 +518,28 @@ impl Driver for SortDriver {
         }
     }
 
-    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<TcpDelivered>() {
-            Ok(d) => return self.on_tcp_delivered(*d, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => return self.on_gather(*g, ctx),
-            Err(ev) => ev,
-        };
-        if ev.downcast_ref::<InicScatterDone>().is_some() {
-            return;
+    /// The key exchange completed: keep the card's buckets and the TCP
+    /// streams, checkpoint them, and run the host's remaining passes.
+    fn on_exchange(&mut self, done: ExchangeDone, ctx: &mut Ctx) {
+        assert_eq!(self.phase, Phase::Exchange);
+        self.card_bucket_data = done.gather.map(|g| {
+            let bounds = g.bucket_bounds.expect("bucket/raw gather carries bounds");
+            (g.data, bounds)
+        });
+        self.tcp_keys
+            .extend(done.legs.into_iter().map(|(_, body)| bytes_to_keys(&body)));
+        self.timings.comm += ctx.now().since(self.phase_entered);
+        if self.core.ckpt_armed() {
+            self.ckpt1 = Some(ExchangeCkpt {
+                card: self.card_bucket_data.clone(),
+                tcp: self.tcp_keys.clone(),
+                variant: self.variant,
+            });
         }
-        panic!("{}: unknown event", self.core.label);
+        match self.variant {
+            SortVariant::InicFull => self.begin_count(ctx),
+            _ => self.begin_bucket2(ctx),
+        }
     }
 }
 
@@ -775,18 +553,6 @@ impl Component for SortDriver {
     }
 
     fn wait_state(&self) -> Option<String> {
-        if self.is_done() {
-            return None;
-        }
-        Some(format!(
-            "rank {} in {} since {} (epoch {}, {} card streams + {} tcp streams pending{})",
-            self.core.rank,
-            self.phase_name(),
-            self.phase_entered,
-            self.core.epoch,
-            self.streams_pending,
-            self.tcp_pending,
-            self.core.parked()
-        ))
+        super::wait_state(self)
     }
 }

@@ -58,6 +58,10 @@ pub struct HangReport {
     /// The simulation-level report, present when the cause was a
     /// watchdog abort (wait states, queue head, trace tail).
     pub sim: Option<LivenessReport>,
+    /// The unfinished ranks' driver wait states at a deadlock, where no
+    /// simulation-level report exists: what each rank's open exchange
+    /// still waits for.
+    pub waits: Vec<String>,
     /// The fabric partition to blame, when the cluster ran on a
     /// multi-switch fabric whose routing timeline disconnected ranks:
     /// the unreachable rank set plus the cut trunks and dead switches
@@ -102,6 +106,7 @@ impl HangReport {
             culprit,
             overdue,
             sim,
+            waits: Vec::new(),
             partition: None,
         }
     }
@@ -154,6 +159,12 @@ impl fmt::Display for HangReport {
                 if r.paused { " (paused)" } else { "" }
             )?;
         }
+        if !self.waits.is_empty() {
+            writeln!(f, "  waiting:")?;
+            for w in &self.waits {
+                writeln!(f, "    {w}")?;
+            }
+        }
         if let Some(sim) = &self.sim {
             write!(f, "{sim}")?;
         }
@@ -187,7 +198,7 @@ mod tests {
         // Far enough out that even the slack-multiplied budgets are
         // clearly blown.
         let now = SimTime::ZERO + SimDuration::from_secs(3600);
-        let report = HangReport::diagnose(
+        let mut report = HangReport::diagnose(
             HangCause::Deadlock,
             Technology::InicIdeal,
             now,
@@ -204,8 +215,10 @@ mod tests {
         assert_eq!(culprit.phase, "exchange");
         assert_eq!(report.attribution(), "exchange on rank 1");
         assert!(report.overdue > SimDuration::ZERO);
+        report.waits = vec!["rank 1 in exchange (epoch 0; awaiting gather on stream 1)".into()];
         let text = report.to_string();
         assert!(text.contains("deadlock"));
+        assert!(text.contains("waiting:\n    rank 1 in exchange (epoch 0; awaiting gather"));
         assert!(
             text.contains("exchange on rank 1") || text.contains("stuck in exchange on rank 1")
         );

@@ -34,6 +34,13 @@ fn seeded_outage_hang_is_detected_and_attributed() {
     assert!(!outcome.verified());
     let culprit = report.culprit.as_ref().expect("culprit named");
     assert_eq!(culprit.phase, "exchange", "stuck phase is named");
+    // The report names the exchange leg each stuck rank still waits
+    // for: the card gather that rank 1's partitions never reach.
+    let text = report.to_string();
+    assert!(
+        text.contains("rank 0 in exchange") && text.contains("awaiting gather on stream 1"),
+        "no outstanding exchange leg named:\n{text}"
+    );
     eprintln!("attribution: {}", report.attribution());
     eprintln!("{report}");
 }
