@@ -10,6 +10,7 @@ use acc_core::{ClusterSpec, RunRequest, Technology};
 use acc_net::{
     EtherType, EthernetKind, Frame, FrameArrival, LinkParams, MacAddr, Switch, SwitchParams,
 };
+use acc_sim::stats::CounterId;
 use acc_sim::{
     Component, ComponentId, Ctx, EventQueue, SimDuration, SimTime, Simulation, StatsRegistry,
 };
@@ -40,6 +41,34 @@ impl Component for Sink {
     fn name(&self) -> &str {
         "sink"
     }
+}
+
+/// The `(scope, name)` counters a p=64 run on a k=8 fat-tree publishes
+/// under a fault plan: per rank an uplink, a switch downlink and a
+/// card; 80 switches (32 edge, 32 aggregation, 16 core); and both
+/// directions of the 256 trunks. 784 keys.
+fn fat_tree_keys() -> Vec<(String, &'static str)> {
+    let mut keys = Vec::new();
+    for r in 0..64 {
+        keys.push((format!("up{r}"), "frames_offered"));
+        keys.push((format!("swdown{r}"), "frames_offered"));
+        keys.push((format!("inic{r}"), "gather_bytes_in"));
+    }
+    for s in 0..80 {
+        keys.push((format!("fsw{s}"), "frames_in"));
+    }
+    for pod in 0..8 {
+        for i in 0..4 {
+            let agg = 32 + pod * 4 + i;
+            for j in 0..4 {
+                for (a, b) in [(pod * 4 + j, agg), (agg, 64 + i * 4 + j)] {
+                    keys.push((format!("trunk{a}-{b}"), "frames_offered"));
+                    keys.push((format!("trunk{b}-{a}"), "frames_offered"));
+                }
+            }
+        }
+    }
+    keys
 }
 
 fn main() {
@@ -123,27 +152,42 @@ fn main() {
         },
     );
 
-    // The per-frame stats path: a switch bumps 2-3 counters per frame,
-    // so counter lookup cost is pure simulation overhead. Hits an
-    // existing counter the way components do — by &str pair.
+    // The per-frame stats path: every frame bumps counters at each
+    // port, switch and card it crosses. Keys come from the scopes a
+    // p=64 fat-tree run publishes (~800), visited in a scattered order,
+    // so the string path pays a realistic sorted-map walk. Both paths
+    // bump the same keys: by `(scope, name)` string and by handle.
     let hits = 1_000_000u64;
+    let keys = fat_tree_keys();
+    let key_at = |i: u64| (i * 7919) as usize % keys.len();
     bench("des_kernel", "counter_hit_1m", 20, Some(hits), || {
         let mut stats = StatsRegistry::new();
-        for scope in ["switch", "nic0", "nic1", "nic2"] {
-            stats.counter(scope, "frames_in");
-            stats.counter(scope, "frames_fwd");
+        for (scope, name) in &keys {
+            stats.counter(scope, name);
         }
         for i in 0..hits {
-            let scope = match i & 3 {
-                0 => "switch",
-                1 => "nic0",
-                2 => "nic1",
-                _ => "nic2",
-            };
-            stats.counter(scope, "frames_in").inc();
+            let (scope, name) = &keys[key_at(i)];
+            stats.counter(scope, name).inc();
         }
-        stats.counter_value("switch", "frames_in").unwrap_or(0)
+        stats.counter_value("fsw0", "frames_in").unwrap_or(0)
     });
+    bench(
+        "des_kernel",
+        "counter_handle_hit_1m",
+        20,
+        Some(hits),
+        || {
+            let mut stats = StatsRegistry::new();
+            let ids: Vec<CounterId> = keys
+                .iter()
+                .map(|(scope, name)| stats.register_counter(scope, name))
+                .collect();
+            for i in 0..hits {
+                stats[ids[key_at(i)]].inc();
+            }
+            stats.counter_value("fsw0", "frames_in").unwrap_or(0)
+        },
+    );
 
     let spec = |tech| {
         let mut s = ClusterSpec::new(4, tech);

@@ -6,7 +6,10 @@
 //! publish and panics at the first violation, so the engine's
 //! panic-handler dumps the trace tail around the offending events. A
 //! final, stricter pass ([`final_check`]) runs after the simulation
-//! quiesces.
+//! quiesces. Every counter it reads is resolved to a handle when the
+//! Auditor is built ([`AuditConfig::resolve`]), so a label or counter
+//! name that no component publishes fails the wiring instead of
+//! auditing zeros.
 //!
 //! The invariants:
 //!
@@ -36,6 +39,7 @@
 
 use std::any::Any;
 
+use acc_sim::stats::{CounterId, GaugeId};
 use acc_sim::{Component, Ctx, SimDuration, StatsRegistry};
 
 /// What the Auditor watches. Built by the cluster wiring, which knows
@@ -61,6 +65,75 @@ pub struct AuditConfig {
     pub p: u64,
 }
 
+acc_sim::counter_set! {
+    /// Frame conservation counters of one instrumented port.
+    struct PortAudit { frames_offered, frames_delivered, queue_drops, impair_drops }
+}
+
+acc_sim::counter_set! {
+    /// Frame fates of one routed switch.
+    struct SwitchAudit { frames_in, frames_fwd, frames_dropped, frames_blackholed, frames_unroutable }
+}
+
+acc_sim::counter_set! {
+    /// Datapath and credit counters of one card.
+    struct CardAudit {
+        gather_bytes_in,
+        gather_bytes_out,
+        gather_bytes_padded,
+        credit_bytes_granted,
+        credit_bytes_consumed,
+    }
+}
+
+/// An [`AuditConfig`] with every counter and gauge it reads resolved to
+/// its handle, so the checks index the registry instead of looking
+/// strings up, and a key nobody publishes fails before the run.
+#[derive(Clone, Debug)]
+pub struct AuditHandles {
+    ports: Vec<(String, PortAudit)>,
+    switches: Vec<(String, SwitchAudit)>,
+    /// Each card's counters and its `outstanding_bytes` gauge.
+    cards: Vec<(String, CardAudit, GaugeId)>,
+    credit_window: u64,
+    expect_quiescent_ports: bool,
+}
+
+impl AuditConfig {
+    /// Resolve every counter and gauge the checks read.
+    ///
+    /// # Panics
+    /// Panics naming the first key no component registered: a
+    /// misspelled label or counter name would otherwise audit zeros
+    /// against zeros and pass.
+    pub fn resolve(&self, stats: &StatsRegistry) -> AuditHandles {
+        AuditHandles {
+            ports: self
+                .ports
+                .iter()
+                .map(|l| (l.clone(), PortAudit::resolve(stats, l)))
+                .collect(),
+            switches: self
+                .switches
+                .iter()
+                .map(|l| (l.clone(), SwitchAudit::resolve(stats, l)))
+                .collect(),
+            cards: self
+                .cards
+                .iter()
+                .map(|l| {
+                    let gauge = stats
+                        .gauge_id(l, "outstanding_bytes")
+                        .unwrap_or_else(|| panic!("gauge {l}.outstanding_bytes is not registered"));
+                    (l.clone(), CardAudit::resolve(stats, l), gauge)
+                })
+                .collect(),
+            credit_window: self.credit_window,
+            expect_quiescent_ports: self.expect_quiescent_ports,
+        }
+    }
+}
+
 /// Self event driving the periodic audit.
 struct AuditTick;
 
@@ -69,7 +142,11 @@ struct AuditTick;
 /// backstop so a wedged run cannot tick forever).
 pub struct Auditor {
     label: String,
-    cfg: AuditConfig,
+    handles: AuditHandles,
+    /// Cluster size: ticking stops once `drivers_done` reaches it.
+    p: u64,
+    drivers_done: CounterId,
+    audit_ticks: CounterId,
     ticks: u64,
 }
 
@@ -82,13 +159,28 @@ impl Auditor {
     /// quiet after this many ticks so the simulation can drain.
     const MAX_TICKS: u64 = 2_000_000;
 
-    /// Build an auditor for one wired cluster.
-    pub fn new(cfg: AuditConfig) -> Auditor {
+    /// Build an auditor for one wired cluster, resolving every counter
+    /// it reads in `stats`.
+    ///
+    /// # Panics
+    /// Panics if a watched counter or `cluster.drivers_done` was never
+    /// registered (see [`AuditConfig::resolve`]).
+    pub fn new(cfg: &AuditConfig, stats: &StatsRegistry) -> Auditor {
         Auditor {
             label: "auditor".to_owned(),
-            cfg,
+            handles: cfg.resolve(stats),
+            p: cfg.p,
+            drivers_done: stats
+                .counter_id("cluster", "drivers_done")
+                .expect("auditor: counter cluster.drivers_done is not registered"),
+            audit_ticks: CounterId::UNREGISTERED,
             ticks: 0,
         }
+    }
+
+    /// The resolved handles, for the end-of-run [`final_check`].
+    pub fn handles(&self) -> &AuditHandles {
+        &self.handles
     }
 }
 
@@ -96,35 +188,32 @@ impl Component for Auditor {
     fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         assert!(ev.downcast_ref::<AuditTick>().is_some() || ev.downcast_ref::<()>().is_some());
         self.ticks += 1;
-        let done = ctx
-            .stats()
-            .counter_value("cluster", "drivers_done")
-            .unwrap_or(0);
-        if done >= self.cfg.p || self.ticks > Auditor::MAX_TICKS {
+        let done = ctx.stats()[self.drivers_done].get();
+        if done >= self.p || self.ticks > Auditor::MAX_TICKS {
             return; // stop rescheduling; the final check takes over
         }
-        check_running(ctx.stats(), &self.cfg);
-        ctx.stats().counter(&self.label, "audit_ticks").inc();
+        check_running(ctx.stats(), &self.handles);
+        ctx.stats()[self.audit_ticks].inc();
         ctx.self_in(Auditor::PERIOD, AuditTick);
     }
 
     fn name(&self) -> &str {
         &self.label
     }
-}
 
-fn counter(stats: &StatsRegistry, scope: &str, name: &str) -> u64 {
-    stats.counter_value(scope, name).unwrap_or(0)
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.audit_ticks = stats.register_counter(&self.label, "audit_ticks");
+    }
 }
 
 /// The invariants that must hold at every instant of the run. Panics
 /// with the offending counters on violation.
-pub fn check_running(stats: &StatsRegistry, cfg: &AuditConfig) {
-    for port in &cfg.ports {
-        let offered = counter(stats, port, "frames_offered");
-        let delivered = counter(stats, port, "frames_delivered");
-        let queue_drops = counter(stats, port, "queue_drops");
-        let impair_drops = counter(stats, port, "impair_drops");
+pub fn check_running(stats: &StatsRegistry, audit: &AuditHandles) {
+    for (port, c) in &audit.ports {
+        let offered = stats[c.frames_offered].get();
+        let delivered = stats[c.frames_delivered].get();
+        let queue_drops = stats[c.queue_drops].get();
+        let impair_drops = stats[c.impair_drops].get();
         assert!(
             delivered + queue_drops + impair_drops <= offered,
             "AUDIT VIOLATION: port {port} accounts for more frames than were \
@@ -132,12 +221,12 @@ pub fn check_running(stats: &StatsRegistry, cfg: &AuditConfig) {
              queue_drops={queue_drops} impair_drops={impair_drops}"
         );
     }
-    for sw in &cfg.switches {
-        let frames_in = counter(stats, sw, "frames_in");
-        let fwd = counter(stats, sw, "frames_fwd");
-        let dropped = counter(stats, sw, "frames_dropped");
-        let blackholed = counter(stats, sw, "frames_blackholed");
-        let unroutable = counter(stats, sw, "frames_unroutable");
+    for (sw, c) in &audit.switches {
+        let frames_in = stats[c.frames_in].get();
+        let fwd = stats[c.frames_fwd].get();
+        let dropped = stats[c.frames_dropped].get();
+        let blackholed = stats[c.frames_blackholed].get();
+        let unroutable = stats[c.frames_unroutable].get();
         assert!(
             fwd + dropped + blackholed + unroutable <= frames_in,
             "AUDIT VIOLATION: switch {sw} accounts for more frames than \
@@ -147,24 +236,24 @@ pub fn check_running(stats: &StatsRegistry, cfg: &AuditConfig) {
     }
     let mut granted_total = 0u64;
     let mut consumed_total = 0u64;
-    for card in &cfg.cards {
-        let bytes_in = counter(stats, card, "gather_bytes_in");
-        let bytes_out = counter(stats, card, "gather_bytes_out");
-        let bytes_padded = counter(stats, card, "gather_bytes_padded");
+    for (card, c, outstanding) in &audit.cards {
+        let bytes_in = stats[c.gather_bytes_in].get();
+        let bytes_out = stats[c.gather_bytes_out].get();
+        let bytes_padded = stats[c.gather_bytes_padded].get();
         assert!(
             bytes_out <= bytes_in + bytes_padded,
             "AUDIT VIOLATION: card {card} datapath emitted more bytes than \
              entered it: in={bytes_in} padded={bytes_padded} out={bytes_out}"
         );
-        let outstanding_max = stats.gauge_max(card, "outstanding_bytes").unwrap_or(0.0);
+        let outstanding_max = stats[*outstanding].max();
         assert!(
-            outstanding_max <= cfg.credit_window as f64,
+            outstanding_max <= audit.credit_window as f64,
             "AUDIT VIOLATION: card {card} exceeded its credit window: \
              outstanding max={outstanding_max} window={}",
-            cfg.credit_window
+            audit.credit_window
         );
-        granted_total += counter(stats, card, "credit_bytes_granted");
-        consumed_total += counter(stats, card, "credit_bytes_consumed");
+        granted_total += stats[c.credit_bytes_granted].get();
+        consumed_total += stats[c.credit_bytes_consumed].get();
     }
     assert!(
         consumed_total <= granted_total,
@@ -177,18 +266,18 @@ pub fn check_running(stats: &StatsRegistry, cfg: &AuditConfig) {
 /// conservation as an equality on quiescent ports — once the event
 /// queue drained, every offered frame must be accounted for as
 /// delivered or dropped.
-pub fn final_check(stats: &StatsRegistry, cfg: &AuditConfig) {
-    check_running(stats, cfg);
+pub fn final_check(stats: &StatsRegistry, audit: &AuditHandles) {
+    check_running(stats, audit);
     // Switch conservation tightens to an equality unconditionally: the
     // forwarding pipeline always drains (a dead switch still counts its
     // pipeline casualties as blackholed), so even a run that strands
     // port queues must account for every arrived frame.
-    for sw in &cfg.switches {
-        let frames_in = counter(stats, sw, "frames_in");
-        let fwd = counter(stats, sw, "frames_fwd");
-        let dropped = counter(stats, sw, "frames_dropped");
-        let blackholed = counter(stats, sw, "frames_blackholed");
-        let unroutable = counter(stats, sw, "frames_unroutable");
+    for (sw, c) in &audit.switches {
+        let frames_in = stats[c.frames_in].get();
+        let fwd = stats[c.frames_fwd].get();
+        let dropped = stats[c.frames_dropped].get();
+        let blackholed = stats[c.frames_blackholed].get();
+        let unroutable = stats[c.frames_unroutable].get();
         assert_eq!(
             frames_in,
             fwd + dropped + blackholed + unroutable,
@@ -197,14 +286,14 @@ pub fn final_check(stats: &StatsRegistry, cfg: &AuditConfig) {
              blackholed={blackholed} unroutable={unroutable}"
         );
     }
-    if !cfg.expect_quiescent_ports {
+    if !audit.expect_quiescent_ports {
         return;
     }
-    for port in &cfg.ports {
-        let offered = counter(stats, port, "frames_offered");
-        let delivered = counter(stats, port, "frames_delivered");
-        let queue_drops = counter(stats, port, "queue_drops");
-        let impair_drops = counter(stats, port, "impair_drops");
+    for (port, c) in &audit.ports {
+        let offered = stats[c.frames_offered].get();
+        let delivered = stats[c.frames_delivered].get();
+        let queue_drops = stats[c.queue_drops].get();
+        let impair_drops = stats[c.impair_drops].get();
         assert_eq!(
             offered,
             delivered + queue_drops + impair_drops,
@@ -223,16 +312,59 @@ mod tests {
         AuditConfig {
             ports: vec!["up0".into()],
             cards: vec!["inic0".into()],
-            switches: vec![],
+            switches: vec!["fsw0".into()],
             credit_window: 1000,
             expect_quiescent_ports: true,
             p: 1,
         }
     }
 
+    const PORT: &[&str] = &[
+        "frames_offered",
+        "frames_delivered",
+        "queue_drops",
+        "impair_drops",
+    ];
+    const SWITCH: &[&str] = &[
+        "frames_in",
+        "frames_fwd",
+        "frames_dropped",
+        "frames_blackholed",
+        "frames_unroutable",
+    ];
+    const CARD: &[&str] = &[
+        "gather_bytes_in",
+        "gather_bytes_out",
+        "gather_bytes_padded",
+        "credit_bytes_granted",
+        "credit_bytes_consumed",
+    ];
+
+    /// A registry as the wiring leaves it for [`cfg`]: every watched key
+    /// published (at zero), spelled as the publishers spell it.
+    fn wired() -> StatsRegistry {
+        let mut stats = StatsRegistry::new();
+        for (scope, names) in [("up0", PORT), ("fsw0", SWITCH), ("inic0", CARD)] {
+            for name in names {
+                stats.counter(scope, name);
+            }
+        }
+        stats.gauge("inic0", "outstanding_bytes");
+        stats.counter("cluster", "drivers_done");
+        stats
+    }
+
+    fn running(stats: &StatsRegistry) {
+        check_running(stats, &cfg().resolve(stats));
+    }
+
+    fn finished(stats: &StatsRegistry, c: &AuditConfig) {
+        final_check(stats, &c.resolve(stats));
+    }
+
     #[test]
     fn clean_counters_pass_both_checks() {
-        let mut stats = StatsRegistry::new();
+        let mut stats = wired();
         stats.counter("up0", "frames_offered").add(10);
         stats.counter("up0", "frames_delivered").add(8);
         stats.counter("up0", "queue_drops").add(1);
@@ -242,81 +374,121 @@ mod tests {
         stats.counter("inic0", "credit_bytes_granted").add(2048);
         stats.counter("inic0", "credit_bytes_consumed").add(2048);
         stats.gauge("inic0", "outstanding_bytes").set(900.0);
-        check_running(&stats, &cfg());
-        final_check(&stats, &cfg());
+        running(&stats);
+        finished(&stats, &cfg());
     }
 
     #[test]
     fn switch_conservation_accepts_all_four_fates() {
-        let mut stats = StatsRegistry::new();
+        let mut stats = wired();
         stats.counter("fsw0", "frames_in").add(10);
         stats.counter("fsw0", "frames_fwd").add(6);
         stats.counter("fsw0", "frames_dropped").add(1);
         stats.counter("fsw0", "frames_blackholed").add(2);
         stats.counter("fsw0", "frames_unroutable").add(1);
-        let mut c = cfg();
-        c.switches = vec!["fsw0".into()];
-        check_running(&stats, &c);
-        final_check(&stats, &c);
+        running(&stats);
+        finished(&stats, &cfg());
     }
 
     #[test]
     #[should_panic(expected = "accounts for more frames")]
     fn switch_over_accounting_is_a_violation() {
-        let mut stats = StatsRegistry::new();
+        let mut stats = wired();
         stats.counter("fsw0", "frames_in").add(3);
         stats.counter("fsw0", "frames_fwd").add(4);
-        let mut c = cfg();
-        c.switches = vec!["fsw0".into()];
-        check_running(&stats, &c);
+        running(&stats);
     }
 
     #[test]
     #[should_panic(expected = "lost track of frames")]
     fn switch_losing_a_frame_fails_the_final_equality() {
         // One arrived frame never resolved to any fate — a silent loss.
-        let mut stats = StatsRegistry::new();
+        let mut stats = wired();
         stats.counter("fsw0", "frames_in").add(5);
         stats.counter("fsw0", "frames_fwd").add(4);
         let mut c = cfg();
-        c.switches = vec!["fsw0".into()];
         // Even with non-quiescent ports the switch equality must hold.
         c.expect_quiescent_ports = false;
-        final_check(&stats, &c);
+        finished(&stats, &c);
     }
 
     #[test]
     #[should_panic(expected = "more frames than were offered")]
     fn over_delivery_is_a_violation() {
-        let mut stats = StatsRegistry::new();
+        let mut stats = wired();
         stats.counter("up0", "frames_offered").add(5);
         stats.counter("up0", "frames_delivered").add(6);
-        check_running(&stats, &cfg());
+        running(&stats);
     }
 
     #[test]
     #[should_panic(expected = "did not drain")]
     fn stranded_frames_fail_the_final_equality() {
-        let mut stats = StatsRegistry::new();
+        let mut stats = wired();
         stats.counter("up0", "frames_offered").add(5);
         stats.counter("up0", "frames_delivered").add(4);
-        final_check(&stats, &cfg());
+        finished(&stats, &cfg());
     }
 
     #[test]
     #[should_panic(expected = "more credit than was granted")]
     fn credit_overdraw_is_a_violation() {
-        let mut stats = StatsRegistry::new();
+        let mut stats = wired();
         stats.counter("inic0", "credit_bytes_granted").add(100);
         stats.counter("inic0", "credit_bytes_consumed").add(101);
-        check_running(&stats, &cfg());
+        running(&stats);
     }
 
     #[test]
     #[should_panic(expected = "exceeded its credit window")]
     fn window_overrun_is_a_violation() {
-        let mut stats = StatsRegistry::new();
+        let mut stats = wired();
         stats.gauge("inic0", "outstanding_bytes").set(1001.0);
-        check_running(&stats, &cfg());
+        running(&stats);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter up0.frames_offered is not registered")]
+    fn misspelled_counter_fails_at_construction() {
+        // A publisher that spells the counter differently used to be
+        // read as 0 and audit 0 against 0; now the Auditor refuses to
+        // be built.
+        let mut stats = StatsRegistry::new();
+        for (scope, names) in [("fsw0", SWITCH), ("inic0", CARD)] {
+            for name in names {
+                stats.counter(scope, name);
+            }
+        }
+        for name in [
+            "frames_ofered",
+            "frames_delivered",
+            "queue_drops",
+            "impair_drops",
+        ] {
+            stats.counter("up0", name);
+        }
+        stats.gauge("inic0", "outstanding_bytes");
+        stats.counter("cluster", "drivers_done");
+        let _ = Auditor::new(&cfg(), &stats);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter uplink0.frames_offered is not registered")]
+    fn misspelled_scope_fails_at_construction() {
+        let mut c = cfg();
+        c.ports = vec!["uplink0".into()];
+        let _ = Auditor::new(&c, &wired());
+    }
+
+    #[test]
+    #[should_panic(expected = "gauge inic1.outstanding_bytes is not registered")]
+    fn unpublished_gauge_fails_at_construction() {
+        let mut stats = wired();
+        for name in CARD {
+            stats.counter("inic1", name);
+        }
+        let mut c = cfg();
+        c.cards.push("inic1".into());
+        let _ = Auditor::new(&c, &stats);
     }
 }

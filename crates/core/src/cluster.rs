@@ -31,7 +31,7 @@ use acc_net::{
 use acc_proto::{HostPathCosts, TcpHostNic, TcpParams};
 use acc_sim::{Component, ComponentId, HangKind, SimDuration, SimTime, Simulation};
 
-use crate::audit::{self, AuditConfig, Auditor};
+use crate::audit::{self, AuditConfig, AuditHandles, Auditor};
 use crate::deadline::DeadlineHierarchy;
 use crate::drivers::coll::CollDriver;
 use crate::drivers::fft::FftDriver;
@@ -272,9 +272,10 @@ struct Wiring<D> {
     /// The precomputed routing timeline; present only on multi-switch
     /// fabrics. Hangs consult it to attribute the stall to a partition.
     fabric: Option<FabricSchedule>,
-    /// What the Auditor watches; present only on faulted runs. The
-    /// end-of-run [`audit::final_check`] reads it after `sim.run()`.
-    audit: Option<AuditConfig>,
+    /// What the Auditor watches, resolved to handles; present only on
+    /// faulted runs. The end-of-run [`audit::final_check`] reads it
+    /// after `sim.run()`.
+    audit: Option<AuditHandles>,
 }
 
 /// Translate one switch's next-hop table (dst MAC → neighbour switch
@@ -628,7 +629,7 @@ fn wire<D: Driver>(spec: &ClusterSpec, make_driver: impl Fn(usize, Attachment) -
     for &d in &driver_ids {
         sim.schedule_at(SimTime::ZERO, d, ());
     }
-    let mut audit_cfg = None;
+    let mut audit = None;
     if let Some(pl) = plan {
         // Faulted runs keep a trace tail so an Auditor violation dumps
         // the events around the offence, and run under its watch.
@@ -653,9 +654,10 @@ fn wire<D: Driver>(spec: &ClusterSpec, make_driver: impl Fn(usize, Attachment) -
             p: spec.p as u64,
         };
         let auditor_id = sim.reserve_id();
-        sim.register(auditor_id, Auditor::new(cfg.clone()));
+        let auditor = Auditor::new(&cfg, sim.stats());
+        audit = Some(auditor.handles().clone());
+        sim.register(auditor_id, auditor);
         sim.schedule_at(SimTime::ZERO, auditor_id, ());
-        audit_cfg = Some(cfg);
     }
     if spec.technology.is_inic() {
         if let Some(pl) = plan {
@@ -701,7 +703,7 @@ fn wire<D: Driver>(spec: &ClusterSpec, make_driver: impl Fn(usize, Attachment) -
         switches: switch_ids,
         technology: spec.technology,
         fabric: fabric_sched,
-        audit: audit_cfg,
+        audit,
     }
 }
 

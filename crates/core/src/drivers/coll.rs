@@ -63,7 +63,7 @@ use acc_coll::recovery::{split_round, RoundLegs};
 use acc_coll::{bytes_to_f64s, f64s_to_bytes, OffloadPlan, RecvOp, Schedule};
 use acc_fpga::{Bitstream, GatherKind, InicRecover, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, Ctx, SimDuration, SimTime};
+use acc_sim::{Component, Ctx, SimDuration, SimTime, StatsRegistry};
 
 use super::{Attachment, Driver, DriverCore, DriverProgress, ExchangeDone, ExchangePlan, LegLen};
 
@@ -492,6 +492,10 @@ impl Component for CollDriver {
 
     fn name(&self) -> &str {
         &self.core.label
+    }
+
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.core.register_stats(stats);
     }
 
     fn wait_state(&self) -> Option<String> {

@@ -46,7 +46,7 @@ use acc_algos::transpose::{
 };
 use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
+use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime, StatsRegistry};
 
 use super::{Attachment, Driver, DriverCore, DriverProgress, ExchangeDone, ExchangePlan, LegLen};
 
@@ -509,6 +509,10 @@ impl Component for FftDriver {
 
     fn name(&self) -> &str {
         &self.core.label
+    }
+
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.core.register_stats(stats);
     }
 
     fn wait_state(&self) -> Option<String> {

@@ -46,7 +46,8 @@ use acc_fpga::{
 use acc_host::StallSchedule;
 use acc_net::MacAddr;
 use acc_proto::{TcpDelivered, TcpSend};
-use acc_sim::{Component, ComponentId, Ctx, SimDuration, SimTime};
+use acc_sim::stats::CounterId;
+use acc_sim::{Component, ComponentId, Ctx, SimDuration, SimTime, StatsRegistry};
 
 /// How a node reaches the network.
 #[derive(Clone, Debug)]
@@ -395,6 +396,11 @@ impl Exchange {
     }
 }
 
+acc_sim::counter_set! {
+    /// Per-rank recovery counters.
+    struct DriverCounters { card_failovers, stall_deferrals, phase_resumes }
+}
+
 /// The per-rank state every driver shares: identity, network attachment,
 /// the exchange engine and the card-failure recovery protocol that
 /// [`handle`] runs.
@@ -437,6 +443,9 @@ pub(crate) struct DriverCore {
     pub(crate) started_at: Option<SimTime>,
     /// When this rank last finished.
     pub(crate) done_at: Option<SimTime>,
+    counters: DriverCounters,
+    /// `cluster.drivers_done`, shared by every rank.
+    drivers_done: CounterId,
 }
 
 impl DriverCore {
@@ -463,7 +472,16 @@ impl DriverCore {
             reported_done: false,
             started_at: None,
             done_at: None,
+            counters: DriverCounters::UNREGISTERED,
+            drivers_done: CounterId::UNREGISTERED,
         }
+    }
+
+    /// Register the rank's counters; every driver's
+    /// [`Component::register_stats`] delegates here.
+    pub(crate) fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.counters = DriverCounters::register(stats, &self.label);
+        self.drivers_done = stats.register_counter("cluster", "drivers_done");
     }
 
     /// Whether this rank completed over the degraded fallback path.
@@ -501,7 +519,7 @@ impl DriverCore {
         self.done_at = Some(ctx.now());
         if !self.reported_done {
             self.reported_done = true;
-            ctx.stats().counter("cluster", "drivers_done").inc();
+            ctx.stats()[self.drivers_done].inc();
         }
     }
 
@@ -594,7 +612,7 @@ impl DriverCore {
             } => fb.clone(),
             _ => panic!("{}: card failure without a wired fallback path", self.label),
         };
-        ctx.stats().counter(&self.label, "card_failovers").inc();
+        ctx.stats()[self.counters.card_failovers].inc();
         self.failed_over = true;
         self.attachment = Attachment::Tcp { nic, macs };
     }
@@ -704,7 +722,7 @@ fn handle<D: Driver>(d: &mut D, ev: Box<dyn Any>, ctx: &mut Ctx) {
     // interrupts and failure notices all wait for the window's end.
     let core = d.core();
     if let Some(release) = core.fault_ctl.stalls.deferral(ctx.now()) {
-        ctx.stats().counter(&core.label, "stall_deferrals").inc();
+        ctx.stats()[core.counters.stall_deferrals].inc();
         ctx.self_in(release.since(ctx.now()), Deferred(ev));
         return;
     }
@@ -849,7 +867,7 @@ fn on_resume_at<D: Driver>(d: &mut D, r: ResumeAt, ctx: &mut Ctx) {
     }
     core.paused = false;
     core.resumed_from = Some(r.phase);
-    ctx.stats().counter(&core.label, "phase_resumes").inc();
+    ctx.stats()[core.counters.phase_resumes].inc();
     d.resume(r.phase, ctx);
 }
 
@@ -863,6 +881,7 @@ pub struct RecoveryCoordinator {
     drivers: Vec<ComponentId>,
     /// Collected phases per round.
     rounds: BTreeMap<u64, Vec<u32>>,
+    recovery_rounds: CounterId,
 }
 
 impl RecoveryCoordinator {
@@ -872,6 +891,7 @@ impl RecoveryCoordinator {
             label: "recovery-coordinator".to_owned(),
             drivers,
             rounds: BTreeMap::new(),
+            recovery_rounds: CounterId::UNREGISTERED,
         }
     }
 }
@@ -888,7 +908,7 @@ impl Component for RecoveryCoordinator {
             return;
         }
         let phase = *phases.iter().min().expect("at least one report");
-        ctx.stats().counter(&self.label, "recovery_rounds").inc();
+        ctx.stats()[self.recovery_rounds].inc();
         for &d in &self.drivers {
             ctx.send_in(RECOVERY_LATENCY, d, ResumeAt { round, phase });
         }
@@ -896,6 +916,10 @@ impl Component for RecoveryCoordinator {
 
     fn name(&self) -> &str {
         &self.label
+    }
+
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.recovery_rounds = stats.register_counter(&self.label, "recovery_rounds");
     }
 }
 

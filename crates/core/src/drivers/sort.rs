@@ -33,7 +33,7 @@ use acc_algos::sort::{
 };
 use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
+use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime, StatsRegistry};
 
 use super::{
     recv_buckets_for, Attachment, Driver, DriverCore, DriverProgress, ExchangeDone, ExchangePlan,
@@ -550,6 +550,10 @@ impl Component for SortDriver {
 
     fn name(&self) -> &str {
         &self.core.label
+    }
+
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.core.register_stats(stats);
     }
 
     fn wait_state(&self) -> Option<String> {

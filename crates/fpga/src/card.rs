@@ -36,7 +36,10 @@ use acc_algos::transpose::{
 use acc_net::port::EgressPort;
 use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PayloadView, PortTxDone};
 use acc_proto::{packetize, InicPacket, StreamDemux, INIC_HEADER, INIC_PAYLOAD};
-use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime};
+use acc_sim::stats::GaugeId;
+use acc_sim::{
+    Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime, StatsRegistry,
+};
 
 use crate::device::{Bitstream, ConfigError, FpgaDevice};
 use crate::ops::OperatorKind;
@@ -415,6 +418,31 @@ struct Gather {
     finishing: bool,
 }
 
+acc_sim::counter_set! {
+    /// Per-card datapath, flow-control and recovery counters.
+    struct CardCounters {
+        gather_bytes_in,
+        gather_bytes_out,
+        gather_bytes_padded,
+        credit_bytes_granted,
+        credit_bytes_consumed,
+        completion_interrupts,
+        acks_sent,
+        nacks_sent,
+        retransmits,
+        retrans_abandoned,
+        reconfig_waits,
+        reconfigures,
+        reconfig_windows_survived,
+        peer_recoveries,
+        chunks_dropped_dead,
+        rx_decode_drops,
+        uplink_overflow_drops,
+        card_killed,
+        dark_deferrals,
+    }
+}
+
 /// The INIC card component (NIC + FPGA datapath).
 pub struct InicCard {
     label: String,
@@ -484,6 +512,10 @@ pub struct InicCard {
     /// gather accumulation).
     mem_in_use: u64,
     interrupts_raised: u64,
+    counters: CardCounters,
+    /// `outstanding_bytes`: un-credited bytes toward the peer last
+    /// charged (reliability on); the Auditor bounds its maximum.
+    outstanding_gauge: GaugeId,
 }
 
 impl InicCard {
@@ -533,6 +565,8 @@ impl InicCard {
             completion_interrupt: SimDuration::from_micros(12),
             mem_in_use: 0,
             interrupts_raised: 0,
+            counters: CardCounters::UNREGISTERED,
+            outstanding_gauge: GaugeId::UNREGISTERED,
         }
     }
 
@@ -897,9 +931,7 @@ impl InicCard {
             };
             if doomed {
                 let chunk = self.send_queue.pop_front().expect("checked");
-                ctx.stats()
-                    .counter(&self.label, "chunks_dropped_dead")
-                    .inc();
+                ctx.stats()[self.counters.chunks_dropped_dead].inc();
                 if chunk.ends_scatter {
                     let stream = chunk.pkt.stream;
                     ctx.send_now(self.app, InicScatterDone { stream });
@@ -924,7 +956,7 @@ impl InicCard {
                     *inflight += chunk.pkt.data.len() as u64;
                     if self.reliability {
                         let v = *inflight as f64;
-                        ctx.stats().gauge(&self.label, "outstanding_bytes").set(v);
+                        ctx.stats()[self.outstanding_gauge].set(v);
                     }
                 }
                 let bytes = DataSize::from_bytes((chunk.pkt.data.len() + INIC_HEADER) as u64);
@@ -963,9 +995,7 @@ impl InicCard {
                 let entry = self.outstanding.entry(mac).or_insert(0);
                 *entry = entry.saturating_sub(chunk.pkt.data.len() as u64);
             }
-            ctx.stats()
-                .counter(&self.label, "chunks_dropped_dead")
-                .inc();
+            ctx.stats()[self.counters.chunks_dropped_dead].inc();
             if chunk.ends_scatter {
                 let stream = chunk.pkt.stream;
                 ctx.send_now(self.app, InicScatterDone { stream });
@@ -1088,7 +1118,7 @@ impl InicCard {
             // the receiver's gap NACK) recovers the payload. Without
             // reliability a bad frame is a simulator bug, not a fault.
             Err(_) if self.reliability => {
-                ctx.stats().counter(&self.label, "rx_decode_drops").inc();
+                ctx.stats()[self.counters.rx_decode_drops].inc();
                 return;
             }
             Err(err) => panic!("{}: undecodable INIC frame: {err:?}", self.label),
@@ -1114,9 +1144,7 @@ impl InicCard {
             let entry = self.outstanding.entry(mac).or_insert(0);
             *entry = entry.saturating_sub(u64::from(pkt.offset));
             if self.reliability {
-                ctx.stats()
-                    .counter(&self.label, "credit_bytes_consumed")
-                    .add(u64::from(pkt.offset));
+                ctx.stats()[self.counters.credit_bytes_consumed].add(u64::from(pkt.offset));
             }
             self.admit_next_chunk(ctx);
             return;
@@ -1181,9 +1209,7 @@ impl InicCard {
     fn accept_into_gather(&mut self, pkt: InicPacket, src_mac: Option<MacAddr>, ctx: &mut Ctx) {
         let stream = pkt.stream;
         if self.reliability {
-            ctx.stats()
-                .counter(&self.label, "gather_bytes_in")
-                .add(pkt.data.len() as u64);
+            ctx.stats()[self.counters.gather_bytes_in].add(pkt.data.len() as u64);
         }
         let gather = self.gathers.get_mut(&stream).expect("gather announced");
         // Bucket gathers trickle data to the host in DMA_THRESHOLD
@@ -1276,9 +1302,7 @@ impl InicCard {
             return;
         };
         self.interrupts_raised += 1;
-        ctx.stats()
-            .counter(&self.label, "completion_interrupts")
-            .inc();
+        ctx.stats()[self.counters.completion_interrupts].inc();
         // Deterministic assembly order: by source rank.
         gather.done.sort_by_key(|&(src, _)| src);
         let mut padded_bytes = 0u64;
@@ -1349,13 +1373,9 @@ impl InicCard {
             }
         };
         if self.reliability {
-            ctx.stats()
-                .counter(&self.label, "gather_bytes_out")
-                .add(data.len() as u64);
+            ctx.stats()[self.counters.gather_bytes_out].add(data.len() as u64);
             if padded_bytes > 0 {
-                ctx.stats()
-                    .counter(&self.label, "gather_bytes_padded")
-                    .add(padded_bytes);
+                ctx.stats()[self.counters.gather_bytes_padded].add(padded_bytes);
             }
         }
         ctx.send_now(
@@ -1373,9 +1393,7 @@ impl InicCard {
     /// a minimum-size frame of wire time).
     fn send_credit(&mut self, mac: MacAddr, stream: u32, amount: u64, ctx: &mut Ctx) {
         if self.reliability {
-            ctx.stats()
-                .counter(&self.label, "credit_bytes_granted")
-                .add(amount);
+            ctx.stats()[self.counters.credit_bytes_granted].add(amount);
         }
         let pkt = InicPacket::credit_grant(self.my_rank, stream, amount as u32);
         self.send_control(mac, pkt, ctx);
@@ -1383,14 +1401,14 @@ impl InicCard {
 
     /// Receiver → sender: the whole stream arrived and was consumed.
     fn send_ack(&mut self, mac: MacAddr, stream: u32, ctx: &mut Ctx) {
-        ctx.stats().counter(&self.label, "acks_sent").inc();
+        ctx.stats()[self.counters.acks_sent].inc();
         let pkt = InicPacket::stream_ack(self.my_rank, stream);
         self.send_control(mac, pkt, ctx);
     }
 
     /// Receiver → sender: the stream has a hole at `missing`; resend it.
     fn send_nack(&mut self, mac: MacAddr, stream: u32, missing: u32, ctx: &mut Ctx) {
-        ctx.stats().counter(&self.label, "nacks_sent").inc();
+        ctx.stats()[self.counters.nacks_sent].inc();
         let pkt = InicPacket::repair_nack(self.my_rank, stream, missing);
         self.send_control(mac, pkt, ctx);
     }
@@ -1421,7 +1439,7 @@ impl InicCard {
             return;
         };
         self.retransmits += 1;
-        ctx.stats().counter(&self.label, "retransmits").inc();
+        ctx.stats()[self.counters.retransmits].inc();
         let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
         let t = self.ports.net_out(ctx.now(), bytes);
         let frame = Frame::try_new(self.mac, mac, EtherType::Inic, pkt.encode())
@@ -1437,7 +1455,6 @@ impl InicCard {
     /// the destination up for dead after [`MAX_RETRIES`] silent rounds
     /// so the rest of the schedule can still drain.
     fn on_retrans_timer(&mut self, dest: MacAddr, stream: u32, gen: u64, ctx: &mut Ctx) {
-        let label = self.label.clone();
         let credits_seen = self.credits_from.get(&dest).copied().unwrap_or(0);
         let Some(entry) = self.tx_window.get_mut(&(dest, stream)) else {
             return; // ACKed since the timer was armed.
@@ -1472,7 +1489,7 @@ impl InicCard {
                 };
                 let wait = busy.since(ctx.now()) + entry.timeout;
                 ctx.self_in(wait, timer);
-                ctx.stats().counter(&label, "reconfig_waits").inc();
+                ctx.stats()[self.counters.reconfig_waits].inc();
                 return;
             }
         }
@@ -1484,7 +1501,7 @@ impl InicCard {
             // whose completion the failed-over driver ignores — still
             // quiesces.
             self.outstanding.remove(&dest);
-            ctx.stats().counter(&label, "retrans_abandoned").inc();
+            ctx.stats()[self.counters.retrans_abandoned].inc();
             self.admit_next_chunk(ctx);
             return;
         }
@@ -1500,11 +1517,11 @@ impl InicCard {
         ctx.self_in(timeout, timer);
         for pkt in pkts {
             self.retransmits += 1;
-            ctx.stats().counter(&label, "retransmits").inc();
+            ctx.stats()[self.counters.retransmits].inc();
             let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
             let t = self.ports.net_out(ctx.now(), bytes);
             let frame = Frame::try_new(self.mac, dest, EtherType::Inic, pkt.encode())
-                .unwrap_or_else(|e| panic!("{label}: retransmit exceeds MTU ({e})"));
+                .unwrap_or_else(|e| panic!("{}: retransmit exceeds MTU ({e})", self.label));
             ctx.self_in(t.since(ctx.now()), EmitFrame { frame });
         }
     }
@@ -1525,7 +1542,7 @@ impl InicCard {
             self.dark_until = Some(until);
         }
         ctx.self_in(hold, ReconfigDone);
-        ctx.stats().counter(&self.label, "reconfigures").inc();
+        ctx.stats()[self.counters.reconfigures].inc();
         let hold_micros = (hold.as_nanos() / 1_000) as u32;
         let notice: Vec<MacAddr> = self
             .peers
@@ -1544,9 +1561,7 @@ impl InicCard {
     fn on_reconfig_done(&mut self, ctx: &mut Ctx) {
         if self.dark_until.is_some_and(|t| ctx.now() >= t) {
             self.dark_until = None;
-            ctx.stats()
-                .counter(&self.label, "reconfig_windows_survived")
-                .inc();
+            ctx.stats()[self.counters.reconfig_windows_survived].inc();
         }
     }
 
@@ -1584,7 +1599,7 @@ impl InicCard {
             self.outstanding.remove(&dead);
             self.pending_credit.remove(&dead);
         }
-        ctx.stats().counter(&self.label, "peer_recoveries").inc();
+        ctx.stats()[self.counters.peer_recoveries].inc();
         self.admit_next_chunk(ctx);
     }
 
@@ -1596,9 +1611,7 @@ impl InicCard {
         if !ok && self.reliability {
             // Retransmission bursts can exceed the NIC buffer;
             // the drop is itself recovered by the protocol.
-            ctx.stats()
-                .counter(&self.label, "uplink_overflow_drops")
-                .inc();
+            ctx.stats()[self.counters.uplink_overflow_drops].inc();
         } else {
             assert!(
                 ok,
@@ -1643,7 +1656,7 @@ impl Component for InicCard {
     fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         if ev.downcast_ref::<InicKill>().is_some() {
             self.dead = true;
-            ctx.stats().counter(&self.label, "card_killed").inc();
+            ctx.stats()[self.counters.card_killed].inc();
             return;
         }
         // A dead card swallows everything: frames rot on the wire,
@@ -1679,7 +1692,7 @@ impl Component for InicCard {
                 Err(ev) => ev,
             };
             let wake = self.dark_until.expect("dark").saturating_since(ctx.now());
-            ctx.stats().counter(&self.label, "dark_deferrals").inc();
+            ctx.stats()[self.counters.dark_deferrals].inc();
             ctx.self_in(wake, DarkDeferred(ev));
             return;
         }
@@ -1744,6 +1757,12 @@ impl Component for InicCard {
 
     fn name(&self) -> &str {
         &self.label
+    }
+
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.counters = CardCounters::register(stats, &self.label);
+        self.outstanding_gauge = stats.register_gauge(&self.label, "outstanding_bytes");
+        self.uplink.register_stats(stats);
     }
 
     fn wait_state(&self) -> Option<String> {

@@ -18,7 +18,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration};
+use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, StatsRegistry};
 
 /// Bus configuration.
 #[derive(Clone, Copy, Debug)]
@@ -99,6 +99,11 @@ struct Transfer {
     remaining: DataSize,
 }
 
+acc_sim::counter_set! {
+    /// Per-bus transfer counters.
+    struct BusCounters { requests, transfers_done }
+}
+
 /// The bus component.
 pub struct SharedBus {
     label: String,
@@ -111,6 +116,7 @@ pub struct SharedBus {
     /// Lane whose head transfer owns the in-flight burst.
     active_lane: Option<usize>,
     bytes_moved: u64,
+    counters: BusCounters,
 }
 
 impl SharedBus {
@@ -124,6 +130,7 @@ impl SharedBus {
             busy: false,
             active_lane: None,
             bytes_moved: 0,
+            counters: BusCounters::UNREGISTERED,
         }
     }
 
@@ -187,7 +194,7 @@ impl SharedBus {
         if done {
             let t = self.lanes[idx].1.pop_front().expect("checked non-empty");
             ctx.send_now(t.requester, BusDone { tag: t.tag });
-            ctx.stats().counter(&self.label, "transfers_done").inc();
+            ctx.stats()[self.counters.transfers_done].inc();
         }
         self.start_burst_if_idle(ctx);
     }
@@ -198,7 +205,7 @@ impl Component for SharedBus {
         let ev = match ev.downcast::<BusRequest>() {
             Ok(req) => {
                 assert!(req.bytes.bytes() > 0, "zero-byte bus request");
-                ctx.stats().counter(&self.label, "requests").inc();
+                ctx.stats()[self.counters.requests].inc();
                 let requester = req.requester;
                 self.lane_mut(requester).push_back(Transfer {
                     requester: req.requester,
@@ -218,6 +225,10 @@ impl Component for SharedBus {
 
     fn name(&self) -> &str {
         &self.label
+    }
+
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.counters = BusCounters::register(stats, &self.label);
     }
 }
 

@@ -59,6 +59,11 @@
 //!   show an enforced bound in its file (a `len()` comparison or
 //!   `truncate` on the field) or carry a justified allow naming the
 //!   invariant that bounds it.
+//! * **R10** — no string-keyed stats calls (`ctx.stats().counter(..)`,
+//!   `.gauge(..)`, also split across lines) in the non-test code of
+//!   deterministic crates. Each such call walks the registry's sorted
+//!   string maps on every event; components register
+//!   `CounterId`/`GaugeId` handles at wiring time and bump by index.
 //!
 //! R7–R9 ride on the item/symbol pass (see the `symbols` module): module, impl
 //! and fn spans, struct fields with textual types, and integer consts,
@@ -118,6 +123,7 @@ pub enum Rule {
     R7,
     R8,
     R9,
+    R10,
     A0,
 }
 
@@ -134,6 +140,7 @@ impl Rule {
             Rule::R7 => "R7",
             Rule::R8 => "R8",
             Rule::R9 => "R9",
+            Rule::R10 => "R10",
             Rule::A0 => "A0",
         }
     }
@@ -150,6 +157,7 @@ impl Rule {
             "R7" => Some(Rule::R7),
             "R8" => Some(Rule::R8),
             "R9" => Some(Rule::R9),
+            "R10" => Some(Rule::R10),
             _ => None,
         }
     }
@@ -894,6 +902,21 @@ pub fn analyze_source_with(
                 push(&mut report, idx, Rule::R7, msg);
             }
         }
+
+        if det {
+            if let Some(method) = string_keyed_stats_call(&lines, idx) {
+                push(
+                    &mut report,
+                    idx,
+                    Rule::R10,
+                    format!(
+                        "string-keyed `stats().{method}(scope, name)`: a sorted-map walk \
+                         on every call; register a handle when the component is wired \
+                         (`counter_set!`, `register_counter`) and bump `stats[id]`"
+                    ),
+                );
+            }
+        }
     }
 
     if krate == "proto" {
@@ -990,6 +1013,38 @@ fn r7_deep_copy(code: &str, payload: &CrateSymbols) -> Option<String> {
         }
     }
     None
+}
+
+// ---------------------------------------------------------------------------
+// R10 — string-keyed stats calls
+// ---------------------------------------------------------------------------
+
+/// The registry method (`counter`/`gauge`) line `idx` calls on a
+/// `stats()`/`stats_mut()` receiver, if any — on the same line, or as a
+/// `.counter(` continuation of a previous line ending in `stats()`.
+fn string_keyed_stats_call(lines: &[ScanLine], idx: usize) -> Option<&'static str> {
+    let code = &lines[idx].code;
+    let on_stats = |recv: &str| recv.ends_with("stats()") || recv.ends_with("stats_mut()");
+    ["counter", "gauge"].into_iter().find(|&method| {
+        word_occurrences(code, method).iter().any(|&at| {
+            if !code[at + method.len()..].trim_start().starts_with('(') {
+                return false;
+            }
+            let Some(recv) = code[..at].trim_end().strip_suffix('.') else {
+                return false;
+            };
+            let recv = recv.trim_end();
+            if !recv.is_empty() {
+                return on_stats(recv);
+            }
+            lines[..idx]
+                .iter()
+                .rev()
+                .map(|l| l.code.trim_end())
+                .find(|c| !c.trim().is_empty())
+                .is_some_and(on_stats)
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------

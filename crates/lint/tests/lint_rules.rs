@@ -336,6 +336,30 @@ fn r9_justified_queue_is_suppressed() {
 }
 
 #[test]
+fn r10_string_keyed_stats_calls_flag_on_each_line() {
+    let report = check("r10_violate.rs", "crates/net/src/relay.rs");
+    let lines: Vec<(Rule, usize)> = report.violations.iter().map(|v| (v.rule, v.line)).collect();
+    // Same-line counter, the split `stats()` / `.counter(` form (flagged
+    // at the call), and a gauge.
+    assert_eq!(
+        lines,
+        vec![(Rule::R10, 6), (Rule::R10, 8), (Rule::R10, 10)],
+        "{report:?}"
+    );
+    // Outside the deterministic crates (the bench harness) it is fine.
+    let elsewhere = check("r10_violate.rs", "crates/bench/src/relay.rs");
+    assert!(elsewhere.violations.is_empty(), "{elsewhere:?}");
+}
+
+#[test]
+fn r10_handles_reads_and_test_code_are_clean() {
+    let report = check("r10_clean.rs", "crates/net/src/relay.rs");
+    assert!(report.violations.is_empty(), "{report:?}");
+    assert_eq!(report.allows.len(), 1, "{report:?}");
+    assert_eq!(report.allows[0].rule, Rule::R10);
+}
+
+#[test]
 fn module_scope_allow_covers_the_block_in_single_file_mode() {
     // Satellite fix: `--check-file` (analyze_source) must honor allows
     // bound to a `mod` header exactly as workspace mode does.

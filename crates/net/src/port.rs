@@ -7,7 +7,7 @@
 //! next frame; the peer receives a [`FrameArrival`] when the last bit
 //! lands.
 
-use acc_sim::{Bandwidth, ComponentId, Ctx, DataSize, SimDuration};
+use acc_sim::{Bandwidth, ComponentId, Ctx, DataSize, SimDuration, StatsRegistry};
 use std::collections::VecDeque;
 
 use crate::frame::Frame;
@@ -29,6 +29,13 @@ pub struct FrameArrival {
     pub port: usize,
     /// The frame.
     pub frame: Frame,
+}
+
+acc_sim::counter_set! {
+    /// The conservation counters a labelled port publishes:
+    /// `frames_offered` = `frames_delivered` + `queue_drops` +
+    /// `impair_drops` once the port drains.
+    struct PortCounters { frames_offered, frames_delivered, queue_drops, impair_drops }
 }
 
 /// One direction of a full-duplex link: a queue plus a serializer.
@@ -59,10 +66,12 @@ pub struct EgressPort {
     /// Optional fault model consulted per frame (None = pristine link).
     impair: Option<Impairment>,
     /// Optional stats scope: when set, the port publishes conservation
-    /// counters (`frames_offered` = `frames_delivered` + `queue_drops` +
-    /// `impair_drops`) into the registry so an external auditor can
-    /// check them. `None` on the happy path — no per-frame stats cost.
+    /// counters into the registry so an external auditor can check
+    /// them. `None` on the happy path — no per-frame stats cost.
     stats_label: Option<String>,
+    /// Handles of the labelled port's counters, resolved when the
+    /// owning component is registered.
+    counters: Option<PortCounters>,
 }
 
 impl EgressPort {
@@ -90,12 +99,23 @@ impl EgressPort {
             sent: 0,
             impair: None,
             stats_label: None,
+            counters: None,
         }
     }
 
-    /// Publish conservation counters for this port under `label`.
+    /// Publish conservation counters for this port under `label`. Takes
+    /// effect when the owner registers the port's stats.
     pub fn set_stats_label(&mut self, label: impl Into<String>) {
         self.stats_label = Some(label.into());
+    }
+
+    /// Register a labelled port's counters. The owning component calls
+    /// this from its [`acc_sim::Component::register_stats`].
+    pub fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.counters = self
+            .stats_label
+            .as_deref()
+            .map(|label| PortCounters::register(stats, label));
     }
 
     /// Attach a fault model; every subsequent frame is judged by it.
@@ -112,8 +132,8 @@ impl EgressPort {
     /// drop) if the buffer cannot hold it.
     pub fn enqueue(&mut self, frame: Frame, ctx: &mut Ctx) -> bool {
         let size = frame.buffer_size();
-        if let Some(label) = &self.stats_label {
-            ctx.stats().counter(label, "frames_offered").inc();
+        if let Some(c) = &self.counters {
+            ctx.stats()[c.frames_offered].inc();
         }
         let capacity = self
             .impair
@@ -122,8 +142,8 @@ impl EgressPort {
             .map_or(self.capacity, |cap| cap.min(self.capacity));
         if self.buffered + size > capacity {
             self.drops += 1;
-            if let Some(label) = &self.stats_label {
-                ctx.stats().counter(label, "queue_drops").inc();
+            if let Some(c) = &self.counters {
+                ctx.stats()[c.queue_drops].inc();
             }
             return false;
         }
@@ -162,8 +182,8 @@ impl EgressPort {
         if let Some(imp) = self.impair.as_mut() {
             match imp.judge(ctx.now()) {
                 Verdict::Drop => {
-                    if let Some(label) = &self.stats_label {
-                        ctx.stats().counter(label, "impair_drops").inc();
+                    if let Some(c) = &self.counters {
+                        ctx.stats()[c.impair_drops].inc();
                     }
                     return;
                 }
@@ -176,8 +196,8 @@ impl EgressPort {
             }
         }
         self.sent += 1;
-        if let Some(label) = &self.stats_label {
-            ctx.stats().counter(label, "frames_delivered").inc();
+        if let Some(c) = &self.counters {
+            ctx.stats()[c.frames_delivered].inc();
         }
         ctx.send_in(
             ser + self.prop_delay + extra,

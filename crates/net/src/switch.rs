@@ -3,7 +3,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use acc_sim::{Component, ComponentId, Ctx};
+use acc_sim::{Component, ComponentId, Ctx, StatsRegistry};
 
 use crate::frame::{Frame, MacAddr};
 use crate::port::{EgressPort, FrameArrival, PortTxDone};
@@ -27,6 +27,12 @@ pub struct RouteUpdate {
 /// output queue drain (store-and-forward pipeline completes), but every
 /// later arrival is blackholed and counted.
 pub struct SwitchKill;
+
+acc_sim::counter_set! {
+    /// Per-switch frame fates: every frame counted in resolves to one of
+    /// forwarded, queue-dropped, blackholed or unroutable.
+    struct SwitchCounters { frames_in, frames_fwd, frames_dropped, frames_blackholed, frames_unroutable }
+}
 
 /// A non-blocking output-queued switch: any set of inputs can forward
 /// concurrently; contention appears only at output ports, whose bounded
@@ -54,6 +60,7 @@ pub struct Switch {
     dead: bool,
     blackhole_drops: u64,
     unroutable_drops: u64,
+    counters: SwitchCounters,
 }
 
 impl Switch {
@@ -68,6 +75,7 @@ impl Switch {
             dead: false,
             blackhole_drops: 0,
             unroutable_drops: 0,
+            counters: SwitchCounters::UNREGISTERED,
         }
     }
 
@@ -221,12 +229,12 @@ impl Switch {
 
     fn drop_unroutable(&mut self, ctx: &mut Ctx) {
         self.unroutable_drops += 1;
-        ctx.stats().counter(&self.label, "frames_unroutable").inc();
+        ctx.stats()[self.counters.frames_unroutable].inc();
     }
 
     fn drop_blackhole(&mut self, ctx: &mut Ctx) {
         self.blackhole_drops += 1;
-        ctx.stats().counter(&self.label, "frames_blackholed").inc();
+        ctx.stats()[self.counters.frames_blackholed].inc();
     }
 
     /// Replicate `frame` to every port except `ingress`. Each replica
@@ -258,7 +266,7 @@ impl Component for Switch {
     fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<FrameArrival>() {
             Ok(arrival) => {
-                ctx.stats().counter(&self.label, "frames_in").inc();
+                ctx.stats()[self.counters.frames_in].inc();
                 if self.dead {
                     self.drop_blackhole(ctx);
                 } else {
@@ -278,9 +286,9 @@ impl Component for Switch {
                 }
                 let ok = self.ports[fwd.out].enqueue(fwd.frame, ctx);
                 if ok {
-                    ctx.stats().counter(&self.label, "frames_fwd").inc();
+                    ctx.stats()[self.counters.frames_fwd].inc();
                 } else {
-                    ctx.stats().counter(&self.label, "frames_dropped").inc();
+                    ctx.stats()[self.counters.frames_dropped].inc();
                 }
                 return;
             }
@@ -308,6 +316,13 @@ impl Component for Switch {
 
     fn name(&self) -> &str {
         &self.label
+    }
+
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.counters = SwitchCounters::register(stats, &self.label);
+        for port in &mut self.ports {
+            port.register_stats(stats);
+        }
     }
 
     fn wait_state(&self) -> Option<String> {

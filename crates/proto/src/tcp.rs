@@ -29,7 +29,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use acc_net::port::EgressPort;
 use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PortTxDone};
-use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime};
+use acc_sim::{
+    Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime, StatsRegistry,
+};
 
 use acc_host::interrupts::{InterruptCosts, InterruptModerator, ModerationPolicy, ModeratorAction};
 
@@ -329,6 +331,17 @@ struct TxLaunch {
     frame: Frame,
 }
 
+acc_sim::counter_set! {
+    /// Per-stack loss and delivery counters.
+    struct TcpCounters {
+        bytes_delivered,
+        rto_retransmits,
+        fast_retransmits,
+        rx_checksum_drops,
+        nic_tx_drops,
+    }
+}
+
 /// The per-node NIC + kernel TCP stack component.
 pub struct TcpHostNic {
     label: String,
@@ -352,6 +365,7 @@ pub struct TcpHostNic {
     /// Total CPU time charged to TCP processing (for reports).
     cpu_time: SimDuration,
     bytes_delivered_total: u64,
+    counters: TcpCounters,
 }
 
 impl TcpHostNic {
@@ -383,6 +397,7 @@ impl TcpHostNic {
             tx_free_at: SimTime::ZERO,
             cpu_time: SimDuration::ZERO,
             bytes_delivered_total: 0,
+            counters: TcpCounters::UNREGISTERED,
         }
     }
 
@@ -558,7 +573,7 @@ impl TcpHostNic {
         let data = self.retransmit_bytes(key, seq);
         self.arm_rto(key, ctx);
         self.transmit_segment(key, seq, &data, false, ctx);
-        ctx.stats().counter(&self.label, "rto_retransmits").inc();
+        ctx.stats()[self.counters.rto_retransmits].inc();
     }
 
     /// The bytes of an inflight segment for retransmission.
@@ -640,7 +655,7 @@ impl TcpHostNic {
             let Some((h, data)) = SegHeader::decode(&frame.payload) else {
                 // Corrupted on the wire: drop silently and let the
                 // sender's RTO / fast-retransmit machinery recover.
-                ctx.stats().counter(&self.label, "rx_checksum_drops").inc();
+                ctx.stats()[self.counters.rx_checksum_drops].inc();
                 continue;
             };
             let key = FlowKey {
@@ -718,9 +733,7 @@ impl TcpHostNic {
         }
         for (key, data) in delivered {
             self.bytes_delivered_total += data.len() as u64;
-            ctx.stats()
-                .counter(&self.label, "bytes_delivered")
-                .add(data.len() as u64);
+            ctx.stats()[self.counters.bytes_delivered].add(data.len() as u64);
             ctx.send_now(
                 self.app,
                 TcpDelivered {
@@ -837,7 +850,7 @@ impl TcpHostNic {
         if let Some(seq) = fast_retx {
             let data = self.retransmit_bytes(key, seq);
             self.transmit_segment(key, seq, &data, false, ctx);
-            ctx.stats().counter(&self.label, "fast_retransmits").inc();
+            ctx.stats()[self.counters.fast_retransmits].inc();
         }
     }
 }
@@ -873,7 +886,7 @@ impl Component for TcpHostNic {
                 if !ok {
                     // NIC buffer overrun: the segment is lost locally and
                     // will be recovered by RTO, exactly like wire loss.
-                    ctx.stats().counter(&self.label, "nic_tx_drops").inc();
+                    ctx.stats()[self.counters.nic_tx_drops].inc();
                 }
                 return;
             }
@@ -901,6 +914,11 @@ impl Component for TcpHostNic {
 
     fn name(&self) -> &str {
         &self.label
+    }
+
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        self.counters = TcpCounters::register(stats, &self.label);
+        self.uplink.register_stats(stats);
     }
 
     fn wait_state(&self) -> Option<String> {

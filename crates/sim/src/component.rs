@@ -60,6 +60,12 @@ pub trait Component: Any {
     fn wait_state(&self) -> Option<String> {
         None
     }
+
+    /// Register the counters and gauges this component publishes and
+    /// keep their handles for the hot path. Called once, by
+    /// [`crate::Simulation::register`], before the component sees any
+    /// event; components that publish nothing keep the default.
+    fn register_stats(&mut self, _stats: &mut StatsRegistry) {}
 }
 
 /// Mutable simulation services available to a component while it handles an
@@ -126,13 +132,14 @@ mod tests {
     struct Echo {
         remaining: u32,
         seen: u32,
+        seen_id: crate::stats::CounterId,
     }
 
     impl Component for Echo {
         fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
             let _msg: Box<u32> = ev.downcast().expect("echo expects u32");
             self.seen += 1;
-            ctx.stats().counter("echo", "seen").inc();
+            ctx.stats()[self.seen_id].inc();
             if self.remaining > 0 {
                 self.remaining -= 1;
                 ctx.self_in(SimDuration::from_nanos(10), 0u32);
@@ -140,6 +147,9 @@ mod tests {
         }
         fn name(&self) -> &str {
             "echo"
+        }
+        fn register_stats(&mut self, stats: &mut StatsRegistry) {
+            self.seen_id = stats.register_counter("echo", "seen");
         }
     }
 
@@ -152,6 +162,7 @@ mod tests {
             Echo {
                 remaining: 4,
                 seen: 0,
+                seen_id: crate::stats::CounterId::UNREGISTERED,
             },
         );
         sim.schedule_at(SimTime::ZERO, id, 0u32);

@@ -93,9 +93,10 @@ impl Simulation {
     ///
     /// # Panics
     /// Panics if the slot is already occupied.
-    pub fn register<C: Component + 'static>(&mut self, id: ComponentId, component: C) {
+    pub fn register<C: Component + 'static>(&mut self, id: ComponentId, mut component: C) {
         let slot = &mut self.components[id.index()];
         assert!(slot.is_none(), "component slot {:?} registered twice", id);
+        component.register_stats(&mut self.stats);
         *slot = Some(Box::new(component));
     }
 

@@ -17,9 +17,10 @@
 //!   interaction is via events addressed by [`ComponentId`]. This mirrors
 //!   how the real hardware blocks interact (bus transactions, wires,
 //!   interrupts) and keeps the borrow checker trivially satisfied.
-//! * **Observability.** A [`stats::StatsRegistry`] collects counters,
-//!   gauges and time-series probes; a bounded [`trace::TraceBuffer`]
-//!   records recent events for debugging failed scenarios.
+//! * **Observability.** A [`stats::StatsRegistry`] collects counters
+//!   and gauges, bumped through handles registered at wiring time; a
+//!   bounded [`trace::TraceBuffer`] records recent events for debugging
+//!   failed scenarios.
 //!
 //! ## Quick example
 //!
