@@ -211,6 +211,99 @@ pub fn bytes_to_slab(bytes: &[u8], rows: usize, cols: usize) -> Matrix {
     Matrix::from_data(rows, cols, data)
 }
 
+/// Bytes per element of the wire form (one complex double, Eq. 5).
+const ELEM: usize = 16;
+
+/// Append block `q` of an `M × rows` slab, transposed, in the wire form
+/// of [`slab_to_bytes`]: the bytes of
+/// `slab_to_bytes(&extract_transposed_block(slab, q))`, written straight
+/// from the slab.
+pub fn push_transposed_block(slab: &Matrix, q: usize, out: &mut Vec<u8>) {
+    let m = slab.rows();
+    assert!(
+        (q + 1) * m <= slab.cols(),
+        "block index {q} out of range for {} cols",
+        slab.cols()
+    );
+    out.reserve(m * m * ELEM);
+    for c in 0..m {
+        for r in 0..m {
+            out.extend_from_slice(&slab.get(r, q * m + c).to_le_bytes());
+        }
+    }
+}
+
+/// [`push_transposed_block`] over a slab already in wire form: `slab`
+/// holds an `M × rows` slab as [`slab_to_bytes`] writes it, and block
+/// `q` is cut from it transposed, element by element, with no decode.
+pub fn push_transposed_block_wire(slab: &[u8], m: usize, q: usize, out: &mut Vec<u8>) {
+    assert!(
+        m > 0 && slab.len().is_multiple_of(m * ELEM),
+        "wire slab of {} bytes is not {m} rows of whole elements",
+        slab.len()
+    );
+    let rows = slab.len() / (m * ELEM);
+    assert!(
+        (q + 1) * m <= rows,
+        "block index {q} out of range for {rows} cols"
+    );
+    out.reserve(m * m * ELEM);
+    for c in 0..m {
+        for r in 0..m {
+            let at = (r * rows + q * m + c) * ELEM;
+            out.extend_from_slice(&slab[at..at + ELEM]);
+        }
+    }
+}
+
+/// [`interleave_block`] from a received block still in wire form: the
+/// `M × M` block's elements are decoded straight into column-block
+/// `src_rank` of `dest`, with no intermediate matrix.
+pub fn interleave_block_from_wire(dest: &mut Matrix, src_rank: usize, block: &[u8]) {
+    let m = dest.rows();
+    assert_eq!(block.len(), m * m * ELEM, "block length mismatch");
+    assert!((src_rank + 1) * m <= dest.cols(), "src_rank out of range");
+    for (i, elem) in block.chunks_exact(ELEM).enumerate() {
+        let z = Complex64::from_le_bytes(elem.try_into().expect("16-byte element"));
+        dest.set(i / m, src_rank * m + i % m, z);
+    }
+}
+
+/// [`interleave_block`] in wire form: write a received, already
+/// transposed `M × M` block into column-block `src_rank` of `dest`, an
+/// `M × rows` output slab as [`slab_to_bytes`] writes it. The block
+/// arrives as `segments` of any lengths in stream order (the packets of
+/// its stream); each block row lands as one contiguous run of `dest`.
+pub fn interleave_block_wire<S: AsRef<[u8]>>(
+    dest: &mut [u8],
+    m: usize,
+    src_rank: usize,
+    segments: &[S],
+) {
+    let row = m * ELEM;
+    assert!(
+        m > 0 && dest.len().is_multiple_of(row),
+        "wire slab of {} bytes is not {m} rows of whole elements",
+        dest.len()
+    );
+    let rows = dest.len() / row;
+    assert!((src_rank + 1) * m <= rows, "src_rank out of range");
+    let total: usize = segments.iter().map(|s| s.as_ref().len()).sum();
+    assert_eq!(total, m * row, "block length mismatch");
+    let mut off = 0usize;
+    for seg in segments {
+        let mut seg = seg.as_ref();
+        while !seg.is_empty() {
+            let (r, col) = (off / row, off % row);
+            let n = (row - col).min(seg.len());
+            let at = (r * rows + src_rank * m) * ELEM + col;
+            dest[at..at + n].copy_from_slice(&seg[..n]);
+            seg = &seg[n..];
+            off += n;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

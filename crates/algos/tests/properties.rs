@@ -13,7 +13,9 @@ use acc_algos::sort::{
 };
 use acc_algos::transpose::{
     apply_permutation_bytes, block_transpose_index_map, bytes_to_slab, distributed_transpose,
-    join_row_blocks, slab_to_bytes, split_row_blocks,
+    extract_transposed_block, interleave_block, interleave_block_from_wire, interleave_block_wire,
+    join_row_blocks, push_transposed_block, push_transposed_block_wire, slab_to_bytes,
+    split_row_blocks,
 };
 use acc_algos::Complex64;
 
@@ -290,5 +292,82 @@ fn fft_2d_energy_preserved() {
         let e_in: f64 = m.data().iter().map(|z| z.norm_sqr()).sum();
         let e_out: f64 = out.data().iter().map(|z| z.norm_sqr()).sum::<f64>() / (n * n) as f64;
         assert!((e_in - e_out).abs() <= 1e-6 * e_in.max(1.0));
+    }
+}
+
+impl Gen {
+    /// A matrix of arbitrary bit patterns: NaNs with payloads, -0.0,
+    /// subnormals and infinities all occur.
+    fn raw_matrix(&mut self, rows: usize, cols: usize) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| {
+                Complex64::new(
+                    f64::from_bits(self.next_u64()),
+                    f64::from_bits(self.next_u64()),
+                )
+            })
+            .collect();
+        Matrix::from_data(rows, cols, data)
+    }
+
+    /// `bytes` cut at random points into consecutive segments (empty
+    /// segments included).
+    fn cuts<'a>(&mut self, bytes: &'a [u8]) -> Vec<&'a [u8]> {
+        let mut out = Vec::new();
+        let mut at = 0usize;
+        while at < bytes.len() {
+            let n = (self.below(3 * 16 + 1) as usize).min(bytes.len() - at);
+            out.push(&bytes[at..at + n]);
+            at += n;
+        }
+        out
+    }
+}
+
+#[test]
+fn wire_transposed_blocks_equal_the_matrix_reference() {
+    let mut g = Gen::new(0xA8);
+    for _ in 0..64 {
+        let m = 1 + g.below(6) as usize;
+        let p = 1 + g.below(5) as usize;
+        let slab = g.raw_matrix(m, m * p);
+        let wire = slab_to_bytes(&slab);
+        for q in 0..p {
+            let expect = slab_to_bytes(&extract_transposed_block(&slab, q));
+            let mut from_matrix = Vec::new();
+            push_transposed_block(&slab, q, &mut from_matrix);
+            assert_eq!(from_matrix, expect, "m={m} p={p} q={q}");
+            let mut from_wire = vec![0xAB];
+            push_transposed_block_wire(&wire, m, q, &mut from_wire);
+            assert_eq!(from_wire[0], 0xAB, "appends after existing bytes");
+            assert_eq!(&from_wire[1..], &expect[..], "m={m} p={p} q={q}");
+        }
+    }
+}
+
+#[test]
+fn wire_interleave_equals_the_matrix_reference() {
+    let mut g = Gen::new(0xA9);
+    for _ in 0..64 {
+        let m = 1 + g.below(6) as usize;
+        let p = 1 + g.below(5) as usize;
+        let rows = m * p;
+        let mut expect = Matrix::zeros(m, rows);
+        let mut got = vec![0u8; m * rows * 16];
+        let mut decoded = Matrix::zeros(m, rows);
+        for src in 0..p {
+            // Missing sources leave zero-filled holes in all three.
+            if g.below(4) == 0 {
+                continue;
+            }
+            let block = g.raw_matrix(m, m);
+            interleave_block(&mut expect, src, &block);
+            let bytes = slab_to_bytes(&block);
+            interleave_block_wire(&mut got, m, src, &g.cuts(&bytes));
+            interleave_block_from_wire(&mut decoded, src, &bytes);
+        }
+        let expect = slab_to_bytes(&expect);
+        assert_eq!(got, expect, "m={m} p={p}");
+        assert_eq!(slab_to_bytes(&decoded), expect, "m={m} p={p}");
     }
 }

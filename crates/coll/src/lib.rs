@@ -177,32 +177,6 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Little-endian encoding of an f64 vector for the wire.
-pub fn f64s_to_bytes(v: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-/// Inverse of [`f64s_to_bytes`]. Panics on a torn buffer — the
-/// protocol layer below already guarantees whole-message delivery.
-pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
-    assert!(
-        b.len().is_multiple_of(8),
-        "f64 wire buffer length {} is not a multiple of 8",
-        b.len()
-    );
-    b.chunks_exact(8)
-        .map(|c| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(c);
-            f64::from_le_bytes(a)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,11 +193,5 @@ mod tests {
         }
         assert_eq!(CollectiveOp::parse("warp-speed"), None);
         assert_eq!(Algorithm::parse("warp-speed"), None);
-    }
-
-    #[test]
-    fn f64_wire_codec_roundtrips() {
-        let v = vec![0.0, -1.5, 1e300, f64::MIN_POSITIVE];
-        assert_eq!(bytes_to_f64s(&f64s_to_bytes(&v)), v);
     }
 }

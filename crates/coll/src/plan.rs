@@ -201,6 +201,48 @@ impl Schedule {
         out
     }
 
+    /// [`gather`](Self::gather) in wire form: append a send's payload
+    /// to `out` as little-endian f64s, straight from the state.
+    pub fn gather_wire(ranges: &[Range<usize>], state: &[f64], out: &mut Vec<u8>) {
+        out.reserve(ranges_elems(ranges) * 8);
+        for r in ranges {
+            for x in &state[r.clone()] {
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+    }
+
+    /// [`apply_recv`](Self::apply_recv) on a payload still in wire
+    /// form (little-endian f64s): the same per-element folds, with no
+    /// decoded copy in between.
+    pub fn apply_recv_wire(recv: &RecvSpec, payload: &[u8], state: &mut [f64]) {
+        assert_eq!(
+            payload.len(),
+            ranges_elems(&recv.ranges) * 8,
+            "recv from rank {} got a mis-sized payload",
+            recv.from
+        );
+        let decode = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("8-byte f64"));
+        let mut at = 0;
+        for r in &recv.ranges {
+            let chunk = &payload[at..at + r.len() * 8];
+            match recv.op {
+                RecvOp::Sum => {
+                    for (dst, add) in state[r.clone()].iter_mut().zip(chunk.chunks_exact(8)) {
+                        *dst += decode(add);
+                    }
+                }
+                RecvOp::Copy => {
+                    for (dst, x) in state[r.clone()].iter_mut().zip(chunk.chunks_exact(8)) {
+                        *dst = decode(x);
+                    }
+                }
+                RecvOp::Discard => {}
+            }
+            at += r.len() * 8;
+        }
+    }
+
     /// Fold a received payload into the state per the recv's op.
     pub fn apply_recv(recv: &RecvSpec, payload: &[f64], state: &mut [f64]) {
         assert_eq!(

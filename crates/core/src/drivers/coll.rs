@@ -60,7 +60,7 @@ use std::collections::BTreeMap;
 
 use acc_coll::plan::{ranges_elems, RecvSpec, Round};
 use acc_coll::recovery::{split_round, RoundLegs};
-use acc_coll::{bytes_to_f64s, f64s_to_bytes, OffloadPlan, RecvOp, Schedule};
+use acc_coll::{OffloadPlan, RecvOp, Schedule};
 use acc_fpga::{Bitstream, GatherKind, InicRecover, ScatterKind};
 use acc_host::HostKernels;
 use acc_sim::{Component, Ctx, SimDuration, SimTime, StatsRegistry};
@@ -93,6 +93,9 @@ pub struct CollDriver {
     phase_entered: SimTime,
     current_phase: &'static str,
     done: bool,
+    /// The open round's transport partition, computed once when the
+    /// round opens and read again when its exchange completes.
+    legs: Option<RoundLegs>,
     /// Round-level checkpoints: completed-round count → state snapshot.
     /// Armed only under the checkpointed policy with a coordinator.
     ckpts: BTreeMap<u32, Vec<f64>>,
@@ -143,15 +146,16 @@ impl CollDriver {
             phase_entered: SimTime::ZERO,
             current_phase: "init",
             done: false,
+            legs: None,
             ckpts: BTreeMap::new(),
             timings: CollTimings::default(),
         }
     }
 
     /// The rank's output slice of the final state, once done.
-    pub fn result(&self) -> Vec<f64> {
+    pub fn result(&self) -> &[f64] {
         assert!(self.done, "driver not finished");
-        self.state[self.schedule.output.clone()].to_vec()
+        &self.state[self.schedule.output.clone()]
     }
 
     /// Whether the run completed.
@@ -205,7 +209,9 @@ impl CollDriver {
                 continue;
             }
             self.round_started = ctx.now();
-            let plan = self.round_plan();
+            let legs = self.current_legs();
+            let plan = self.round_plan(&legs);
+            self.legs = Some(legs);
             self.open_exchange(self.round, plan, ctx);
             return;
         }
@@ -247,25 +253,30 @@ impl CollDriver {
     /// The current round as an exchange. Sends to healthy peers ride a
     /// unicast card scatter and receives from them one card gather —
     /// the fused `ReduceF64` fold when the card folds the round, a raw
-    /// gather otherwise; every other leg rides TCP.
-    fn round_plan(&self) -> ExchangePlan {
-        let legs = self.current_legs();
-        let bytes_of = |ranges| f64s_to_bytes(&Schedule::gather(ranges, &self.state));
-        let mut data = Vec::new();
+    /// gather otherwise; every other leg rides TCP. Every payload is
+    /// written as little-endian f64s straight from the state: the card
+    /// sends and the own contribution into one pre-sized scatter
+    /// buffer, each TCP send into its own message.
+    fn round_plan(&self, legs: &RoundLegs) -> ExchangePlan {
+        let own = legs.card_fold.then(|| &legs.card_recvs[0]);
+        let scatter_elems: usize = legs
+            .card_sends
+            .iter()
+            .map(|s| ranges_elems(&s.ranges))
+            .chain(own.map(|r| ranges_elems(&r.ranges)))
+            .sum();
+        let mut data = Vec::with_capacity(scatter_elems * 8);
         let mut parts: Vec<(u32, usize)> = Vec::new();
         for send in &legs.card_sends {
-            let bytes = bytes_of(&send.ranges);
-            parts.push((send.to as u32, bytes.len()));
-            data.extend_from_slice(&bytes);
+            Schedule::gather_wire(&send.ranges, &self.state, &mut data);
+            parts.push((send.to as u32, ranges_elems(&send.ranges) * 8));
         }
-        let gather = if legs.card_fold {
+        let gather = if let Some(recv) = own {
             // One fused gather: the card folds the peer stream against
             // this rank's looped-back contribution, element-wise.
-            let recv = &legs.card_recvs[0];
             let elems = ranges_elems(&recv.ranges);
-            let own = bytes_of(&recv.ranges);
-            parts.push((self.core.rank as u32, own.len()));
-            data.extend_from_slice(&own);
+            Schedule::gather_wire(&recv.ranges, &self.state, &mut data);
+            parts.push((self.core.rank as u32, elems * 8));
             let sources = vec![
                 (recv.from as u32, Some(elems * 8)),
                 (self.core.rank as u32, Some(elems * 8)),
@@ -291,10 +302,16 @@ impl CollDriver {
         } else {
             None
         };
+        debug_assert_eq!(data.len(), scatter_elems * 8);
         debug_assert!(
             self.core.epoch > 0 || self.core.attachment.inic_mode().is_none() || legs.uses_card(),
             "a non-local round must touch the card"
         );
+        let tcp_send = |ranges: &[std::ops::Range<usize>]| {
+            let mut bytes = Vec::with_capacity(ranges_elems(ranges) * 8);
+            Schedule::gather_wire(ranges, &self.state, &mut bytes);
+            bytes
+        };
         ExchangePlan {
             gather,
             scatter: (!parts.is_empty()).then_some((ScatterKind::Unicast { parts }, data)),
@@ -302,7 +319,7 @@ impl CollDriver {
             sends: legs
                 .tcp_sends
                 .iter()
-                .map(|s| (s.to, bytes_of(&s.ranges)))
+                .map(|s| (s.to, tcp_send(&s.ranges)))
                 .collect(),
             recvs: legs
                 .tcp_recvs
@@ -394,6 +411,7 @@ impl Driver for CollDriver {
             }
         }
         self.ckpts.clear();
+        self.legs = None;
         self.done = false;
         self.round = 0;
         self.timings = CollTimings::default();
@@ -434,24 +452,20 @@ impl Driver for CollDriver {
     /// The round's transfers are in: fold them into the state (host
     /// arithmetic for every `Sum` the card did not fold) and close it.
     fn on_exchange(&mut self, done: ExchangeDone, ctx: &mut Ctx) {
-        let legs = self.current_legs();
+        let mut legs = self.legs.take().expect("an open round has its legs");
         let mut host_sum_elems = 0u64;
         let mut apply = |recv: &RecvSpec, bytes: &[u8], state: &mut Vec<f64>| {
             if recv.op == RecvOp::Sum {
                 host_sum_elems += ranges_elems(&recv.ranges) as u64;
             }
-            Schedule::apply_recv(recv, &bytes_to_f64s(bytes), state);
+            Schedule::apply_recv_wire(recv, bytes, state);
         };
         if let Some(g) = done.gather {
             if legs.card_fold {
                 // The card already folded own + peer; overwrite in place.
-                let recv = &legs.card_recvs[0];
-                let folded = RecvSpec {
-                    from: recv.from,
-                    ranges: recv.ranges.clone(),
-                    op: RecvOp::Copy,
-                };
-                apply(&folded, &g.data, &mut self.state);
+                let folded = &mut legs.card_recvs[0];
+                folded.op = RecvOp::Copy;
+                apply(folded, &g.data, &mut self.state);
             } else {
                 // Raw concatenation sorted by source rank; slice it back
                 // to the schedule's receives.

@@ -42,7 +42,8 @@ use std::collections::BTreeMap;
 
 use acc_algos::fft::{fft_in_place, Direction, Matrix};
 use acc_algos::transpose::{
-    bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
+    bytes_to_slab, extract_transposed_block, interleave_block, interleave_block_from_wire,
+    push_transposed_block, slab_to_bytes,
 };
 use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
@@ -189,6 +190,14 @@ impl FftDriver {
         self.m * self.m * 16
     }
 
+    /// Block `q` of the slab, transposed, in wire form — what the host
+    /// sends when it performs the local transpose itself.
+    fn wire_block(&self, q: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.block_bytes());
+        push_transposed_block(&self.slab, q, &mut out);
+        out
+    }
+
     // ---- phase transitions ----
 
     fn begin_fft(&mut self, which: u8, ctx: &mut Ctx) {
@@ -248,15 +257,13 @@ impl FftDriver {
             )),
             scatter: Some((
                 ScatterKind::TransposeBlocks { m: self.m },
+                // acc-lint: allow(R7, reason = "the one send-side encode: the slab crosses to the card in wire form")
                 slab_to_bytes(&self.slab),
             )),
             // Mixed-technology legs: the dead ranks' blocks cannot ride
             // the card (their cards are gone), so the host extracts and
             // ships them over the fallback TCP path.
-            sends: dead
-                .iter()
-                .map(|&d| (d, slab_to_bytes(&extract_transposed_block(&self.slab, d))))
-                .collect(),
+            sends: dead.iter().map(|&d| (d, self.wire_block(d))).collect(),
             recvs: dead.iter().map(|&d| (d, LegLen::Fixed(bb))).collect(),
             ..ExchangePlan::default()
         };
@@ -282,7 +289,7 @@ impl FftDriver {
         let mut data = Vec::with_capacity(self.p * bb);
         for step in 0..self.p {
             let q = (self.core.rank + step) % self.p;
-            data.extend(slab_to_bytes(&extract_transposed_block(&self.slab, q)));
+            push_transposed_block(&self.slab, q, &mut data);
         }
         let plan = ExchangePlan {
             gather: Some((
@@ -309,9 +316,8 @@ impl FftDriver {
             let (rank, step) = (self.core.rank, self.exchange_step);
             let to = (rank + step) % self.p;
             let from = (rank + self.p - step) % self.p;
-            let block = slab_to_bytes(&extract_transposed_block(&self.slab, to));
             let plan = ExchangePlan {
-                sends: vec![(to, block)],
+                sends: vec![(to, self.wire_block(to))],
                 recvs: vec![(from, LegLen::Fixed(self.block_bytes()))],
                 ..ExchangePlan::default()
             };
@@ -335,21 +341,20 @@ impl FftDriver {
             panic!("{}: PermuteDone out of phase", self.core.label);
         };
         self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
-        let m = self.m;
-        let mut out = Matrix::zeros(m, self.rows);
+        let mut out = Matrix::zeros(self.m, self.rows);
         if let Some((data, bounds)) = self.raw_gather.take() {
             // Protocol-processor path: per-source blocks arrived via the
             // card, already transposed by this host's peers.
             let mut start = 0usize;
             for (s, &end) in bounds.iter().enumerate() {
-                interleave_block(&mut out, s, &bytes_to_slab(&data[start..end], m, m));
+                interleave_block_from_wire(&mut out, s, &data[start..end]);
                 start = end;
             }
         } else {
             let rank = self.core.rank;
             interleave_block(&mut out, rank, &extract_transposed_block(&self.slab, rank));
             for (s, bytes) in self.blocks.drain(..) {
-                interleave_block(&mut out, s, &bytes_to_slab(&bytes, m, m));
+                interleave_block_from_wire(&mut out, s, &bytes);
             }
         }
         self.slab = out;
@@ -486,9 +491,10 @@ impl Driver for FftDriver {
             // sender's host).
             Some(_) => {
                 let data = done.gather.expect("interleave gather").data;
+                // acc-lint: allow(R7, reason = "the one receive-side decode: the card's interleaved slab becomes the host's matrix")
                 let mut out = bytes_to_slab(&data, self.m, self.rows);
                 for (d, bytes) in done.legs {
-                    interleave_block(&mut out, d, &bytes_to_slab(&bytes, self.m, self.m));
+                    interleave_block_from_wire(&mut out, d, &bytes);
                 }
                 self.slab = out;
                 self.finish_transpose(which, ctx);

@@ -30,9 +30,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use acc_algos::sort::{bucket_index, bytes_to_keys, keys_to_bytes};
-use acc_algos::transpose::{
-    bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
-};
+use acc_algos::transpose::{interleave_block_wire, push_transposed_block_wire};
 use acc_net::port::EgressPort;
 use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PayloadView, PortTxDone};
 use acc_proto::{packetize, InicPacket, StreamDemux, INIC_HEADER, INIC_PAYLOAD};
@@ -42,7 +40,7 @@ use acc_sim::{
 };
 
 use crate::device::{Bitstream, ConfigError, FpgaDevice};
-use crate::ops::OperatorKind;
+use crate::ops::{for_each_record, reduce_sum_wire, OperatorKind};
 use crate::timeline::EngineTimeline;
 
 /// Minimum card→host DMA transfer "to ensure efficiency of the DMA
@@ -408,8 +406,16 @@ struct Gather {
     kind: GatherKind,
     /// Streams still open.
     remaining: usize,
-    /// Completed per-source payloads (src_rank → bytes).
-    done: Vec<(u32, Vec<u8>)>,
+    /// Completed per-source streams (src_rank → segments in offset
+    /// order, views into the received frames), for the operators that
+    /// read every source in rank order when the gather finishes.
+    done: Vec<(u32, Vec<PayloadView>)>,
+    /// Bytes of the completed streams.
+    received: usize,
+    /// The interleave gather's output slab: each source's rows are
+    /// written to their column block as its stream completes, so its
+    /// frames are released at once. Empty for the other kinds.
+    slab: Vec<u8>,
     /// Bytes received but not yet DMA'd to the host (bucket gathers).
     undma: u64,
     /// Completion time of the last host-out DMA issued for this gather.
@@ -733,7 +739,8 @@ impl InicCard {
         self.admit_next_chunk(ctx);
     }
 
-    /// Cut an FFT slab into per-destination transposed blocks.
+    /// Cut an FFT slab into per-destination transposed blocks, each
+    /// cut element by element straight from the host's bytes.
     fn plan_transpose_scatter(
         &self,
         scatter: &InicScatter,
@@ -741,18 +748,18 @@ impl InicCard {
         m: usize,
         p: usize,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let elem = 16;
-        let total_elems = data.len() / elem;
-        let rows = total_elems / m;
-        assert_eq!(rows, m * p, "slab shape inconsistent with dests");
-        let slab = bytes_to_slab(data, m, rows);
+        assert_eq!(
+            data.len(),
+            m * m * p * 16,
+            "slab shape inconsistent with dests"
+        );
         let mut out = Vec::new();
         // Destinations in ring-schedule order: start with our own block
         // (it never touches the wire), then (rank+1), (rank+2), …
         for step in 0..p {
             let q = (self.my_rank as usize + step) % p;
-            let block = extract_transposed_block(&slab, q);
-            let bytes = slab_to_bytes(&block);
+            let mut bytes = Vec::new();
+            push_transposed_block_wire(data, m, q, &mut bytes);
             let dest = if q == self.my_rank as usize {
                 None
             } else {
@@ -894,7 +901,7 @@ impl InicCard {
         data: &PayloadView,
         p: usize,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let pkts = packetize(self.my_rank, scatter.stream, data.clone());
+        let pkts = packetize(self.my_rank, scatter.stream, PayloadView::clone(data));
         let mut out = Vec::with_capacity(pkts.len() * p);
         for pkt in pkts {
             for step in 0..p {
@@ -1055,6 +1062,7 @@ impl InicCard {
             .bitstream
             .as_ref()
             .expect("expect before configuration");
+        let mut slab = Vec::new();
         match expect.kind {
             GatherKind::InterleaveBlocks { m, rows } => {
                 assert!(
@@ -1063,6 +1071,7 @@ impl InicCard {
                 );
                 // The full output slab accumulates in card memory.
                 self.reserve_memory((m * rows * 16) as u64);
+                slab = vec![0u8; m * rows * 16];
             }
             GatherKind::BucketKeys { k } => {
                 assert!(
@@ -1092,6 +1101,8 @@ impl InicCard {
                 kind: expect.kind,
                 remaining: expect.sources.len(),
                 done: Vec::new(),
+                received: 0,
+                slab,
                 undma: 0,
                 dma_done_at: ctx.now(),
                 finishing: false,
@@ -1232,7 +1243,7 @@ impl InicCard {
                 }
             }
         }
-        if let Some((src, _s, data)) = self.demux.accept(&pkt) {
+        if let Some((src, _s, segments)) = self.demux.accept(&pkt) {
             if self.reliability {
                 self.last_nacked.remove(&(src, stream));
                 if let Some(mac) = src_mac {
@@ -1240,7 +1251,13 @@ impl InicCard {
                 }
             }
             let gather = self.gathers.get_mut(&stream).expect("checked above");
-            gather.done.push((src, data));
+            gather.received += stream_len(&segments);
+            match gather.kind {
+                GatherKind::InterleaveBlocks { m, .. } => {
+                    interleave_block_wire(&mut gather.slab, m, src as usize, &segments);
+                }
+                _ => gather.done.push((src, segments)),
+            }
             gather.remaining -= 1;
             if gather.remaining == 0 && !gather.finishing {
                 gather.finishing = true;
@@ -1268,8 +1285,7 @@ impl InicCard {
     fn finish_gather(&mut self, stream: u32, ctx: &mut Ctx) {
         let (kind, undma, total_bytes) = {
             let g = &self.gathers[&stream];
-            let total: usize = g.done.iter().map(|(_, d)| d.len()).sum();
-            (g.kind, g.undma, total as u64)
+            (g.kind, g.undma, g.received as u64)
         };
         let tail = match kind {
             // Interleave: the whole slab crosses to the host now, in
@@ -1308,11 +1324,7 @@ impl InicCard {
         let mut padded_bytes = 0u64;
         let (data, bucket_bounds) = match gather.kind {
             GatherKind::InterleaveBlocks { m, rows } => {
-                let mut out = acc_algos::fft::Matrix::zeros(m, rows);
-                for (src, bytes) in &gather.done {
-                    let block = bytes_to_slab(bytes, m, m);
-                    interleave_block(&mut out, *src as usize, &block);
-                }
+                // Every source's rows already sit in their column block.
                 self.release_memory((m * rows * 16) as u64);
                 // The assembly is fixed-size: regions of sources that
                 // never arrived (dead peers whose blocks travel the
@@ -1320,55 +1332,58 @@ impl InicCard {
                 // patch) leave zero-filled holes the datapath emits
                 // without having received — account for them so the
                 // conservation audit stays exact.
-                let received: usize = gather.done.iter().map(|(_, b)| b.len()).sum();
-                padded_bytes = (m * rows * 16).saturating_sub(received) as u64;
-                (slab_to_bytes(&out), None)
+                padded_bytes = (m * rows * 16).saturating_sub(gather.received) as u64;
+                (std::mem::take(&mut gather.slab), None)
             }
             GatherKind::BucketKeys { k } => {
                 // Keys grouped into the card's k buckets, preserving
                 // (src-rank, arrival) order within each bucket.
                 let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); k];
-                for (_src, bytes) in &gather.done {
-                    for key in bytes_to_keys(bytes) {
+                for (_src, segs) in &gather.done {
+                    for_each_record::<4, _>(segs, |b| {
+                        let key = u32::from_le_bytes(b);
                         buckets[bucket_index(key, k)].push(key);
-                    }
+                    });
                 }
+                // The bucketed keys cross to the host as one buffer.
                 let mut bounds = Vec::with_capacity(k);
-                let mut flat = Vec::new();
+                let mut out = Vec::with_capacity(4 * buckets.iter().map(Vec::len).sum::<usize>());
                 for b in &buckets {
-                    flat.extend_from_slice(b);
-                    bounds.push(flat.len() * 4);
+                    for key in b {
+                        out.extend_from_slice(&key.to_le_bytes());
+                    }
+                    bounds.push(out.len());
                 }
-                (keys_to_bytes(&flat), Some(bounds))
+                (out, Some(bounds))
             }
             GatherKind::Raw => {
                 // Per-source concatenation (already sorted by rank),
                 // with per-source end offsets in the bounds.
-                let mut flat = Vec::new();
+                let total = gather.done.iter().map(|(_, s)| stream_len(s)).sum();
+                let mut flat = Vec::with_capacity(total);
                 let mut bounds = Vec::with_capacity(gather.done.len());
-                for (_src, bytes) in &gather.done {
-                    flat.extend_from_slice(bytes);
+                for (_src, segs) in &gather.done {
+                    for seg in segs {
+                        // acc-lint: allow(R7, reason = "the modelled card-to-host DMA: a raw gather's streams land in host memory as one buffer")
+                        flat.extend_from_slice(seg);
+                    }
                     bounds.push(flat.len());
                 }
                 (flat, Some(bounds))
             }
             GatherKind::ReduceF64 { elems } => {
-                let mut acc = vec![0.0f64; elems];
-                for (src, bytes) in &gather.done {
+                // Every source folds straight into the one output
+                // buffer; zeroed bytes are the +0.0 the fold starts at.
+                let mut out = vec![0u8; elems * 8];
+                for (src, segs) in &gather.done {
                     assert_eq!(
-                        bytes.len(),
+                        stream_len(segs),
                         elems * 8,
                         "source {src} vector length mismatch"
                     );
-                    for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-                        acc[i] += f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                    }
+                    reduce_sum_wire(&mut out, segs);
                 }
                 self.release_memory(elems as u64 * 8);
-                let mut out = Vec::with_capacity(elems * 8);
-                for v in acc {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
                 (out, None)
             }
         };
@@ -1650,6 +1665,11 @@ impl InicCard {
     fn release_memory(&mut self, bytes: u64) {
         self.mem_in_use = self.mem_in_use.saturating_sub(bytes);
     }
+}
+
+/// Bytes in a completed stream's segments.
+fn stream_len(segments: &[PayloadView]) -> usize {
+    segments.iter().map(|s| s.len()).sum()
 }
 
 impl Component for InicCard {

@@ -104,6 +104,58 @@ impl OperatorKind {
     }
 }
 
+/// Visit the `W`-byte records of a stream cut into `segments` of any
+/// lengths, in stream order. A record split by a cut is joined in a
+/// `W`-byte carry; every other record is read in place.
+///
+/// # Panics
+/// Panics if the stream ends inside a record.
+pub fn for_each_record<const W: usize, S: AsRef<[u8]>>(segments: &[S], mut f: impl FnMut([u8; W])) {
+    let mut carry = [0u8; W];
+    let mut have = 0usize;
+    for seg in segments {
+        let mut seg = seg.as_ref();
+        if have > 0 {
+            let n = (W - have).min(seg.len());
+            carry[have..have + n].copy_from_slice(&seg[..n]);
+            have += n;
+            seg = &seg[n..];
+            if have < W {
+                continue;
+            }
+            f(carry);
+        }
+        let mut records = seg.chunks_exact(W);
+        for r in &mut records {
+            f(r.try_into().expect("chunks_exact yields W-byte records"));
+        }
+        let rest = records.remainder();
+        carry[..rest.len()].copy_from_slice(rest);
+        have = rest.len();
+    }
+    assert_eq!(have, 0, "stream ends inside a {W}-byte record");
+}
+
+/// The [`OperatorKind::ReduceSum`] datapath on wire bytes: add one
+/// source's stream of little-endian f64s, cut into `segments` of any
+/// lengths, element-wise into `acc` (little-endian f64s, as long as the
+/// stream). Each element is one `acc + x` in f64, so a fold over zeroed
+/// bytes (+0.0) gives the bits of `acc[i] += x` on a `vec![0.0; n]`.
+///
+/// # Panics
+/// Panics if the stream and the accumulator differ in length.
+pub fn reduce_sum_wire<S: AsRef<[u8]>>(acc: &mut [u8], segments: &[S]) {
+    let total: usize = segments.iter().map(|s| s.as_ref().len()).sum();
+    assert_eq!(total, acc.len(), "reduce stream length mismatch");
+    let mut slots = acc.chunks_exact_mut(8);
+    for_each_record::<8, S>(segments, |x| {
+        let slot = slots.next().expect("stream length checked");
+        let sum =
+            f64::from_le_bytes((*slot).try_into().expect("8-byte slot")) + f64::from_le_bytes(x);
+        slot.copy_from_slice(&sum.to_le_bytes());
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,13 +40,17 @@
 //! * **R7** — no deep payload copies (`.to_vec()`, `Vec::from`,
 //!   `.clone()` on a `Vec<u8>`-typed buffer, `.copy_from_slice` /
 //!   `.extend_from_slice` of a buffer rather than of a computed header
-//!   field) inside the acc-net/acc-sim hot-path modules and the INIC
-//!   codec. Zero-copy forwarding holds because a frame's payload and an
-//!   INIC packet's data are refcounted `PayloadView`s; cloning the
-//!   *view* is a refcount bump and stays legal, materializing the bytes
-//!   is the regression this rule kills. The view's own explicit copy
-//!   API and the codec's two copies (encode, stream reassembly) carry
-//!   justified allows.
+//!   field, and calls of the whole-payload codecs `f64s_to_bytes`,
+//!   `bytes_to_f64s`, `slab_to_bytes`, `bytes_to_slab`) inside the
+//!   acc-net/acc-sim hot-path modules, the INIC codec, the card
+//!   datapath and the collective and FFT drivers. Zero-copy forwarding
+//!   holds because a frame's payload and an INIC packet's data are
+//!   refcounted `PayloadView`s; cloning the *view* is a refcount bump
+//!   and stays legal, materializing the bytes is the regression this
+//!   rule kills. Exchange payloads stay in wire form between one encode
+//!   and one decode per leg. The view's own explicit copy API and each
+//!   modelled copy (the frame encode, the raw gather's host DMA, the
+//!   FFT driver's slab encode and decode) carry justified allows.
 //! * **R8** — wire-codec encode/decode field symmetry in acc-proto:
 //!   every header byte an encode-family fn (`encode`/`try_encode`)
 //!   writes must be read back by the paired `decode` in the same
@@ -690,10 +694,13 @@ impl CrateSymbols {
     }
 }
 
-/// The hot-path modules R7 governs: the zero-copy forwarding plane and
-/// the INIC codec whose packet data are views into it. `frame.rs` is
-/// included deliberately — the `PayloadView` definition itself must
-/// justify each of its materializing escape hatches with an allow.
+/// The hot-path modules R7 governs: the zero-copy forwarding plane, the
+/// INIC codec whose packet data are views into it, the card datapath
+/// whose operators read the reassembled segments in place, and the
+/// drivers that encode and decode exchange payloads once per leg.
+/// `frame.rs` is included deliberately — the `PayloadView` definition
+/// itself must justify each of its materializing escape hatches with an
+/// allow.
 const R7_HOT_MODULES: &[&str] = &[
     "crates/net/src/switch.rs",
     "crates/net/src/port.rs",
@@ -704,6 +711,19 @@ const R7_HOT_MODULES: &[&str] = &[
     "crates/sim/src/engine.rs",
     "crates/sim/src/event.rs",
     "crates/proto/src/inic_wire.rs",
+    "crates/fpga/src/card.rs",
+    "crates/core/src/drivers/coll.rs",
+    "crates/core/src/drivers/fft.rs",
+];
+
+/// Whole-buffer codec calls R7 flags in hot modules: each materializes
+/// a payload in a second representation (`f64`/`Complex64` vectors or
+/// their wire bytes) where the operators work on the wire form itself.
+const R7_CODEC_CALLS: &[&str] = &[
+    "f64s_to_bytes",
+    "bytes_to_f64s",
+    "slab_to_bytes",
+    "bytes_to_slab",
 ];
 
 /// Crates whose structs model simulated components with queues (R9).
@@ -936,10 +956,11 @@ pub fn analyze_source_with(
 // R7 — deep payload copies in hot-path modules
 // ---------------------------------------------------------------------------
 
-/// The deep-copy pattern `code` contains, if any: `.to_vec()`,
-/// `Vec::from(...)`, `.copy_from_slice`/`.extend_from_slice` of a
-/// buffer place, or `.clone()` whose receiver's trailing identifier is
-/// a crate-known `Vec<u8>` payload field.
+/// The deep-copy pattern `code` contains, if any: `.to_vec()`, a call
+/// of one of the [`R7_CODEC_CALLS`], `Vec::from(...)`,
+/// `.copy_from_slice`/`.extend_from_slice` of a buffer place, or
+/// `.clone()` whose receiver's trailing identifier is a crate-known
+/// `Vec<u8>` payload field.
 fn r7_deep_copy(code: &str, payload: &CrateSymbols) -> Option<String> {
     for at in word_occurrences(code, "to_vec") {
         let preceded = code[..at].trim_end().ends_with('.');
@@ -950,6 +971,18 @@ fn r7_deep_copy(code: &str, payload: &CrateSymbols) -> Option<String> {
                  forward the PayloadView (refcount bump) instead"
                     .to_string(),
             );
+        }
+    }
+    for name in R7_CODEC_CALLS {
+        for at in word_occurrences(code, name) {
+            let defines = code[..at].split_whitespace().next_back() == Some("fn");
+            if !defines && code[at + name.len()..].trim_start().starts_with('(') {
+                return Some(format!(
+                    "`{name}` re-encodes a whole payload on the hot path; exchange \
+                     payloads stay in wire form (encode once per leg, operators work \
+                     on the bytes, decode once)"
+                ));
+            }
         }
     }
     for at in word_occurrences(code, "Vec") {

@@ -256,6 +256,33 @@ fn r7_copies_of_inic_packet_data_flag_in_the_codec() {
 }
 
 #[test]
+fn r7_whole_payload_codecs_flag_in_the_exchange_drivers() {
+    for hot in [
+        "crates/core/src/drivers/coll.rs",
+        "crates/core/src/drivers/fft.rs",
+        "crates/fpga/src/card.rs",
+    ] {
+        let report = check("r7_codec_violate.rs", hot);
+        let lines: Vec<usize> = report.violations.iter().map(|v| v.line).collect();
+        assert!(
+            rules_of(&report).iter().all(|&r| r == Rule::R7),
+            "only R7 expected at {hot}: {report:?}"
+        );
+        // Both encodes on line 11, one decode each on lines 15 and 16;
+        // the `use` on line 2 calls nothing.
+        assert_eq!(lines, vec![11, 15, 16], "{hot}: {report:?}");
+    }
+    let cold = check("r7_codec_violate.rs", "crates/core/src/drivers/sort.rs");
+    assert!(cold.violations.is_empty(), "{cold:?}");
+}
+
+#[test]
+fn r7_wire_form_exchange_is_clean() {
+    let report = check("r7_codec_clean.rs", "crates/core/src/drivers/coll.rs");
+    assert!(report.violations.is_empty(), "{report:?}");
+}
+
+#[test]
 fn r7_payload_view_clone_is_clean() {
     let report = check("r7_clean.rs", "crates/net/src/switch.rs");
     assert!(

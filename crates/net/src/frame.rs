@@ -176,6 +176,12 @@ impl Deref for PayloadView {
     }
 }
 
+impl AsRef<[u8]> for PayloadView {
+    fn as_ref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
 impl From<Vec<u8>> for PayloadView {
     fn from(bytes: Vec<u8>) -> PayloadView {
         PayloadView::new(bytes)

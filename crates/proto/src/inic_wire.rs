@@ -28,6 +28,7 @@
 //! same 16 bytes the paper's protocol pays either way.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use acc_net::PayloadView;
 
@@ -192,11 +193,6 @@ impl InicPacket {
         let stream = u16::try_from(self.stream).map_err(|_| WireError::IdOverflow)?;
         let len = u16::try_from(self.data.len())
             .expect("inic payload length bounded by INIC_PAYLOAD (1024)");
-        let mut out = vec![0u8; INIC_HEADER + self.data.len()];
-        out[0..2].copy_from_slice(&src_rank.to_le_bytes());
-        out[2..4].copy_from_slice(&stream.to_le_bytes());
-        out[4..8].copy_from_slice(&self.offset.to_le_bytes());
-        out[8..10].copy_from_slice(&len.to_le_bytes());
         let mut flags = 0u16;
         if self.fin {
             flags |= FLAG_FIN;
@@ -213,11 +209,19 @@ impl InicPacket {
         if self.busy {
             flags |= FLAG_BUSY;
         }
-        out[10..12].copy_from_slice(&flags.to_le_bytes());
-        let sum = frame_check(&[&out[0..12], &self.data]);
-        out[12..16].copy_from_slice(&sum.to_le_bytes());
+        let mut hdr = [0u8; INIC_HEADER];
+        hdr[0..2].copy_from_slice(&src_rank.to_le_bytes());
+        hdr[2..4].copy_from_slice(&stream.to_le_bytes());
+        hdr[4..8].copy_from_slice(&self.offset.to_le_bytes());
+        hdr[8..10].copy_from_slice(&len.to_le_bytes());
+        hdr[10..12].copy_from_slice(&flags.to_le_bytes());
+        let sum = frame_check(&[&hdr[0..12], &self.data]);
+        hdr[12..16].copy_from_slice(&sum.to_le_bytes());
+        // Appended, never zero-filled: every frame byte is written once.
+        let mut out = Vec::with_capacity(INIC_HEADER + self.data.len());
+        out.extend(hdr);
         // acc-lint: allow(R7, reason = "the one send-side copy: header and data become one contiguous wire frame")
-        out[INIC_HEADER..].copy_from_slice(&self.data);
+        out.extend_from_slice(&self.data);
         Ok(out)
     }
 
@@ -330,10 +334,16 @@ pub fn wire_payload_bytes(bytes: usize) -> usize {
 /// Reassembly state of one incoming stream from one source.
 ///
 /// Duplicate packets (retransmissions) are detected by offset and
-/// ignored, so sender-side recovery is idempotent here.
+/// ignored, so sender-side recovery is idempotent here. The segments
+/// are held as views into the received frames and handed on in offset
+/// order; they are never concatenated here.
 pub struct StreamRx {
     total: Option<usize>,
     received: usize,
+    /// End of the contiguous run of segments from offset 0: every byte
+    /// below it has arrived. `accept` advances it, so `missing` never
+    /// walks the held segments.
+    prefix: u32,
     segments: BTreeMap<u32, PayloadView>,
 }
 
@@ -343,6 +353,7 @@ impl StreamRx {
         StreamRx {
             total: Some(total),
             received: 0,
+            prefix: 0,
             segments: BTreeMap::new(),
         }
     }
@@ -353,6 +364,7 @@ impl StreamRx {
         StreamRx {
             total: None,
             received: 0,
+            prefix: 0,
             segments: BTreeMap::new(),
         }
     }
@@ -384,6 +396,13 @@ impl StreamRx {
         }
         self.segments
             .insert(pkt.offset, PayloadView::clone(&pkt.data));
+        while let Some(seg) = self.segments.get(&self.prefix) {
+            if seg.is_empty() {
+                break;
+            }
+            self.prefix +=
+                u32::try_from(seg.len()).expect("inic segment length fits the 32-bit offset");
+        }
         true
     }
 
@@ -399,35 +418,26 @@ impl StreamRx {
 
     /// The first missing byte offset, or `None` if no gap is known
     /// (stream complete, or tail still open with an unknown total).
+    ///
+    /// A segment held beyond the contiguous prefix proves a gap at the
+    /// prefix's end; so does a known total the prefix falls short of.
     pub fn missing(&self) -> Option<u32> {
-        let mut expected = 0u32;
-        for (&off, seg) in &self.segments {
-            if off > expected {
-                return Some(expected);
-            }
-            expected =
-                off + u32::try_from(seg.len()).expect("inic segment length fits the 32-bit offset");
-        }
-        match self.total {
-            Some(t) if usize::try_from(expected).expect("inic offset fits usize") < t => {
-                Some(expected)
-            }
-            _ => None,
-        }
+        let above = (Bound::Excluded(self.prefix), Bound::Unbounded);
+        let gap_above = self.segments.range(above).next().is_some();
+        let short = self
+            .total
+            .is_some_and(|t| usize::try_from(self.prefix).expect("inic offset fits usize") < t);
+        (gap_above || short).then_some(self.prefix)
     }
 
-    /// Concatenate the stream.
+    /// The stream's segments in offset order: views into the received
+    /// frames, not a copy.
     ///
     /// # Panics
     /// Panics if the stream is incomplete.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_segments(self) -> Vec<PayloadView> {
         assert!(self.complete(), "stream incomplete");
-        let mut out = Vec::with_capacity(self.received);
-        for seg in self.segments.into_values() {
-            // acc-lint: allow(R7, reason = "the one receive-side copy: the stream's segments become the contiguous buffer the gather hands on")
-            out.extend_from_slice(&seg);
-        }
-        out
+        self.segments.into_values().collect()
     }
 }
 
@@ -468,13 +478,13 @@ impl StreamDemux {
         );
     }
 
-    /// Fold one packet in; returns the assembled bytes when its flow
-    /// completes. Packets for already-completed flows return `None`
-    /// (late retransmissions are dropped silently).
+    /// Fold one packet in; returns the flow's segments in offset order
+    /// when it completes. Packets for already-completed flows return
+    /// `None` (late retransmissions are dropped silently).
     ///
     /// # Panics
     /// Panics on packets for flows never announced.
-    pub fn accept(&mut self, pkt: &InicPacket) -> Option<(u32, u32, Vec<u8>)> {
+    pub fn accept(&mut self, pkt: &InicPacket) -> Option<(u32, u32, Vec<PayloadView>)> {
         let key = (pkt.src_rank, pkt.stream);
         if self.completed.contains(&key) {
             return None;
@@ -490,7 +500,7 @@ impl StreamDemux {
                 .remove(&key)
                 .expect("demux: completed stream present in table");
             self.completed.insert(key);
-            return Some((key.0, key.1, rx.into_bytes()));
+            return Some((key.0, key.1, rx.into_segments()));
         }
         None
     }
@@ -529,6 +539,10 @@ mod tests {
             busy: false,
             data: data.into(),
         }
+    }
+
+    fn concat(segs: Vec<PayloadView>) -> Vec<u8> {
+        segs.iter().flat_map(|s| s.iter().copied()).collect()
     }
 
     #[test]
@@ -659,7 +673,7 @@ mod tests {
             assert!(rx.accept(p));
         }
         assert!(rx.complete());
-        assert_eq!(rx.into_bytes(), data);
+        assert_eq!(concat(rx.into_segments()), data);
     }
 
     #[test]
@@ -673,7 +687,7 @@ mod tests {
         assert!(!rx.accept(&pkts[1]), "duplicate after completion too");
         assert!(rx.complete());
         assert_eq!(rx.received(), data.len());
-        assert_eq!(rx.into_bytes(), data);
+        assert_eq!(concat(rx.into_segments()), data);
     }
 
     #[test]
@@ -729,8 +743,8 @@ mod tests {
         assert_eq!(demux.open_streams(), 2);
         let mut done = Vec::new();
         for p in packetize(0, 1, &a).iter().chain(packetize(1, 1, &b).iter()) {
-            if let Some(d) = demux.accept(p) {
-                done.push(d);
+            if let Some((src, stream, segs)) = demux.accept(p) {
+                done.push((src, stream, concat(segs)));
             }
         }
         assert_eq!(done, vec![(0, 1, a), (1, 1, b)]);

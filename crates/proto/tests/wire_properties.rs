@@ -5,7 +5,7 @@
 //! the demux never conflates streams. Driven by a seeded splitmix64
 //! stream so every failure reproduces from the fixed seeds.
 
-use acc_net::Impairment;
+use acc_net::{Impairment, PayloadView};
 use acc_proto::{
     packet_count, packetize, InicPacket, SegHeader, StreamDemux, StreamRx, INIC_PAYLOAD,
 };
@@ -38,6 +38,11 @@ impl Gen {
             v.swap(i, j);
         }
     }
+}
+
+/// A completed stream's segments, joined.
+fn concat(segs: &[PayloadView]) -> Vec<u8> {
+    segs.iter().flat_map(|s| s.iter().copied()).collect()
 }
 
 #[test]
@@ -194,7 +199,7 @@ fn packetize_reassembles_in_any_order_with_duplicates() {
             rx.accept(p);
         }
         assert!(rx.complete());
-        assert_eq!(rx.into_bytes(), data);
+        assert_eq!(concat(&rx.into_segments()), data);
     }
 }
 
@@ -265,8 +270,8 @@ fn demux_separates_streams() {
             }
         }
         assert_eq!(done.len(), 2);
-        for (src, _stream, bytes) in done {
-            assert_eq!(&bytes, if src == 0 { &a } else { &b });
+        for (src, _stream, segs) in done {
+            assert_eq!(&concat(&segs), if src == 0 { &a } else { &b });
         }
         assert_eq!(demux.open_streams(), 0);
     }
@@ -293,5 +298,71 @@ fn missing_always_points_at_the_first_gap() {
         }
         assert!(rx.complete());
         assert_eq!(rx.missing(), None);
+    }
+}
+
+/// The first gap of the accepted `(offset, len)` segments, found the
+/// way reassembly used to find it: a walk over every held segment in
+/// offset order.
+fn missing_by_scan(
+    held: &std::collections::BTreeMap<u32, usize>,
+    total: Option<usize>,
+) -> Option<u32> {
+    let mut expected = 0u32;
+    for (&off, &len) in held {
+        if off > expected {
+            return Some(expected);
+        }
+        expected = off + len as u32;
+    }
+    match total {
+        Some(t) if (expected as usize) < t => Some(expected),
+        _ => None,
+    }
+}
+
+#[test]
+fn missing_watermark_matches_a_full_scan() {
+    let mut g = Gen(0xD7);
+    for case in 0..192 {
+        let len = g.below(6 * INIC_PAYLOAD as u64) as usize;
+        let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        let mut pkts = packetize(2, 5, &data);
+        for _ in 0..g.below(5) {
+            let i = g.below(pkts.len() as u64) as usize;
+            let dup = pkts[i].clone();
+            pkts.push(dup);
+        }
+        g.shuffle(&mut pkts);
+        // Every third case delivers the FIN first.
+        if case % 3 == 0 {
+            let fin = pkts.iter().position(|p| p.fin).expect("a fin packet");
+            pkts.swap(0, fin);
+        }
+        let known = g.below(2) == 0;
+        let mut rx = if known {
+            StreamRx::new(len)
+        } else {
+            StreamRx::new_unknown()
+        };
+        let mut held = std::collections::BTreeMap::new();
+        let mut total = known.then_some(len);
+        assert_eq!(rx.missing(), missing_by_scan(&held, total));
+        for p in &pkts {
+            let fresh = rx.accept(p);
+            assert_eq!(fresh, !held.contains_key(&p.offset));
+            held.insert(p.offset, p.data.len());
+            if p.fin {
+                total = Some(p.offset as usize + p.data.len());
+            }
+            assert_eq!(
+                rx.missing(),
+                missing_by_scan(&held, total),
+                "case {case}: {} of {len} bytes held",
+                rx.received()
+            );
+        }
+        assert!(rx.complete());
+        assert_eq!(concat(&rx.into_segments()), data);
     }
 }
