@@ -36,9 +36,7 @@ fn hang_plan() -> FaultPlan {
 }
 
 fn spec() -> ClusterSpec {
-    ClusterSpec::new(P, Technology::InicIdeal)
-        .with_fault_plan(hang_plan())
-        .with_quiet(true)
+    ClusterSpec::new(P, Technology::InicIdeal).with_fault_plan(hang_plan())
 }
 
 fn main() {

@@ -261,13 +261,11 @@ impl ReproArtifact {
         })
     }
 
-    /// The cluster spec the artifact describes (quiet: a replay *wants*
-    /// the failure, so the engine's stderr dumps are noise).
+    /// The cluster spec the artifact describes.
     pub fn spec(&self) -> ClusterSpec {
         ClusterSpec::new(self.p, self.technology)
             .with_fabric(self.fabric)
             .with_fault_plan(self.plan.clone())
-            .with_quiet(true)
     }
 
     /// Re-run the artifact and check the recorded failure reproduces.
@@ -367,8 +365,7 @@ pub fn minimize_failure(
             .map(|candidate| {
                 let spec = ClusterSpec::new(p, technology)
                     .with_fabric(fabric)
-                    .with_fault_plan(candidate.clone())
-                    .with_quiet(true);
+                    .with_fault_plan(candidate.clone());
                 move || observe(spec, workload).is_some()
             })
             .collect();

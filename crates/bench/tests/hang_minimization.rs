@@ -45,9 +45,7 @@ fn hang_plan() -> FaultPlan {
 }
 
 fn spec(plan: &FaultPlan) -> ClusterSpec {
-    ClusterSpec::new(P, Technology::InicIdeal)
-        .with_fault_plan(plan.clone())
-        .with_quiet(true)
+    ClusterSpec::new(P, Technology::InicIdeal).with_fault_plan(plan.clone())
 }
 
 #[test]

@@ -25,7 +25,7 @@
 //!   fold falling back to host arithmetic and the shrunken offload
 //!   re-validated against the CLB budget.
 //!
-//! `crates/core` consumes these schedules in its `CollDriver` and the
+//! `crates/core` runs these schedules as its collective program and the
 //! §4 analytic models consume [`plan::profile`] for per-round cost
 //! formulas, so the sim, the model and the deadline hierarchy all read
 //! from one algorithm description.

@@ -3,9 +3,8 @@
 //! A cluster-attached observer wired only into faulted runs (a fault
 //! plan is present on the [`ClusterSpec`](crate::ClusterSpec)): on a
 //! periodic tick it reads the conservation counters the ports and cards
-//! publish and panics at the first violation, so the engine's
-//! panic-handler dumps the trace tail around the offending events. A
-//! final, stricter pass ([`final_check`]) runs after the simulation
+//! publish and panics at the first violation with the offending
+//! counters. A final, stricter pass ([`final_check`]) runs after the simulation
 //! quiesces. Every counter it reads is resolved to a handle when the
 //! Auditor is built ([`AuditConfig::resolve`]), so a label or counter
 //! name that no component publishes fails the wiring instead of

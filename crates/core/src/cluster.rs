@@ -33,11 +33,12 @@ use acc_sim::{Component, ComponentId, HangKind, SimDuration, SimTime, Simulation
 
 use crate::audit::{self, AuditConfig, AuditHandles, Auditor};
 use crate::deadline::DeadlineHierarchy;
-use crate::drivers::coll::CollDriver;
-use crate::drivers::fft::FftDriver;
-use crate::drivers::sort::{SortDriver, SortVariant};
+use crate::drivers::coll::Coll;
+use crate::drivers::fft::Fft;
+use crate::drivers::sort::{Sort, SortVariant};
 use crate::drivers::{
-    Attachment, CardFailed, Driver, FaultCtl, RecoveryCoordinator, RecoveryPolicy,
+    Attachment, CardFailed, DriverCore, FaultCtl, LedgerEntry, Program, RecoveryCoordinator,
+    RecoveryPolicy, Span,
 };
 use crate::liveness::{HangCause, HangReport};
 use crate::report::FaultDiagnostics;
@@ -134,11 +135,6 @@ pub struct ClusterSpec {
     /// protocol processor has no card datapath worth keeping, so it
     /// always falls back to a full restart).
     pub recovery: RecoveryPolicy,
-    /// Suppress the engine's stderr diagnostics (trace-tail dumps on
-    /// panics and watchdog aborts). Set by harnesses that run many
-    /// *expected* failures — the fault-plan minimizer probes dozens of
-    /// candidate plans, most of which hang or fail on purpose.
-    pub quiet: bool,
 }
 
 impl ClusterSpec {
@@ -152,7 +148,6 @@ impl ClusterSpec {
             fault_plan: None,
             fabric: FabricSpec::SingleSwitch,
             recovery: RecoveryPolicy::default(),
-            quiet: false,
         }
     }
 
@@ -191,14 +186,6 @@ impl ClusterSpec {
     #[must_use]
     pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> ClusterSpec {
         self.recovery = policy;
-        self
-    }
-
-    /// Suppress stderr diagnostics for expected-failure harnesses
-    /// (builder style).
-    #[must_use]
-    pub fn with_quiet(mut self, quiet: bool) -> ClusterSpec {
-        self.quiet = quiet;
         self
     }
 }
@@ -261,11 +248,11 @@ pub struct SortRunResult {
 }
 
 /// Everything wired up for one run.
-struct Wiring<D> {
+struct Wiring<P> {
     sim: Simulation,
     drivers: Vec<ComponentId>,
-    /// The driver type registered under every id in `drivers`.
-    driver: PhantomData<D>,
+    /// The program every driver in `drivers` runs.
+    program: PhantomData<P>,
     nics: Vec<ComponentId>,
     switches: Vec<ComponentId>,
     technology: Technology,
@@ -292,13 +279,10 @@ fn to_port_routes(
 }
 
 /// Build the sim, switch, and per-node network attachment for `spec`;
-/// `make_driver` turns each rank's attachment into its driver, which
-/// then gets the rank's fault-handling configuration.
-fn wire<D: Driver>(spec: &ClusterSpec, make_driver: impl Fn(usize, Attachment) -> D) -> Wiring<D> {
+/// each rank's driver runs the program `make` builds for its rank and
+/// attachment, under the rank's fault-handling configuration.
+fn wire<P: Program>(spec: &ClusterSpec, make: impl Fn(usize, &Attachment) -> P) -> Wiring<P> {
     let mut sim = Simulation::new(spec.seed);
-    if spec.quiet {
-        sim.set_quiet(true);
-    }
     let link = LinkParams::for_kind(spec.technology.link_kind());
     let plan = spec.fault_plan.as_ref();
     let topo = spec.fabric.build(spec.p);
@@ -532,7 +516,8 @@ fn wire<D: Driver>(spec: &ClusterSpec, make_driver: impl Fn(usize, Attachment) -
             policy,
             coordinator,
         };
-        let driver = make_driver(rank, attachment).with_fault_ctl(fault_ctl);
+        let program = make(rank, &attachment);
+        let driver = DriverCore::new(rank, attachment, program).with_fault_ctl(fault_ctl);
         sim.register(driver_ids[rank], driver);
     }
     // Trunk ports append after every host attachment, so both ends'
@@ -631,9 +616,7 @@ fn wire<D: Driver>(spec: &ClusterSpec, make_driver: impl Fn(usize, Attachment) -
     }
     let mut audit = None;
     if let Some(pl) = plan {
-        // Faulted runs keep a trace tail so an Auditor violation dumps
-        // the events around the offence, and run under its watch.
-        sim.enable_trace(256);
+        // Faulted runs run under the Auditor's watch.
         let cfg = AuditConfig {
             ports: port_labels,
             cards: if spec.technology.is_inic() {
@@ -698,7 +681,7 @@ fn wire<D: Driver>(spec: &ClusterSpec, make_driver: impl Fn(usize, Attachment) -
     Wiring {
         sim,
         drivers: driver_ids,
-        driver: PhantomData,
+        program: PhantomData,
         nics: nic_ids,
         switches: switch_ids,
         technology: spec.technology,
@@ -707,7 +690,7 @@ fn wire<D: Driver>(spec: &ClusterSpec, make_driver: impl Fn(usize, Attachment) -
     }
 }
 
-impl<D: Driver> Wiring<D> {
+impl<P: Program> Wiring<P> {
     /// Run the simulation to completion under the deadline hierarchy's
     /// watchdog — **the** deadline-aware wrapper every production run
     /// goes through (acc-lint R6 bans raw `run()` elsewhere).
@@ -720,7 +703,7 @@ impl<D: Driver> Wiring<D> {
         let wd = hierarchy.watchdog();
         // acc-lint: allow(R6, reason = "this is the deadline-aware wrapper itself: the watchdog built two lines up bounds the run")
         let outcome = self.sim.run_guarded(&wd);
-        let ranks: Vec<_> = self.ranks().map(D::progress).collect();
+        let ranks: Vec<_> = self.ranks().map(DriverCore::progress).collect();
         match outcome {
             Ok(_) if ranks.iter().all(|r| r.done) => Ok(()),
             Ok(_) => {
@@ -779,8 +762,10 @@ impl<D: Driver> Wiring<D> {
     }
 
     /// Every rank's driver, in rank order.
-    fn ranks(&self) -> impl Iterator<Item = &D> {
-        self.drivers.iter().map(|&d| self.sim.component::<D>(d))
+    fn ranks(&self) -> impl Iterator<Item = &DriverCore<P>> {
+        self.drivers
+            .iter()
+            .map(|&d| self.sim.component::<DriverCore<P>>(d))
     }
 
     /// Assemble the fault telemetry after a run: retransmits from
@@ -789,8 +774,8 @@ impl<D: Driver> Wiring<D> {
     /// cards, degradation and resume data from the drivers' shared
     /// recovery state.
     fn fault_diagnostics(&self) -> FaultDiagnostics {
-        let degraded_nodes = self.ranks().filter(|d| d.core().degraded()).count() as u64;
-        let resumed_from_phase = self.ranks().filter_map(|d| d.core().resumed_from()).max();
+        let degraded_nodes = self.ranks().filter(|d| d.rank().degraded()).count() as u64;
+        let resumed_from_phase = self.ranks().filter_map(|d| d.rank().resumed_from()).max();
         let stats = self.sim.stats();
         let retransmits = stats
             .counters()
@@ -853,9 +838,9 @@ impl<D: Driver> Wiring<D> {
     /// end-of-run audit (faulted runs only) and the fault telemetry.
     fn finish(&self, spec: &ClusterSpec) -> RunTail {
         let (mut start, mut end) = (SimTime::MAX, SimTime::ZERO);
-        for core in self.ranks().map(D::core) {
-            start = start.min(core.started_at.expect("started"));
-            end = end.max(core.done_at.expect("done"));
+        for rank in self.ranks().map(DriverCore::rank) {
+            start = start.min(rank.started_at.expect("started"));
+            end = end.max(rank.done_at.expect("done"));
         }
         let switch_drops = self
             .switches
@@ -901,31 +886,34 @@ struct RunTail {
     faults: FaultDiagnostics,
 }
 
-/// The run shape every workload shares: wire `spec` with one
-/// `make_driver` driver per rank, run `workload` to completion under
-/// its deadline hierarchy, hand the finished ranks to `check` (the
-/// workload's oracle, which asserts on mismatch; skipped when
-/// `spec.verify` is off), take the shared [`Wiring::finish`] tail, and
-/// let `build` fold the ranks' phase times into the workload's result.
-fn run_wired<D: Driver, R>(
+/// The run shape every workload shares: wire `spec` with one `make`
+/// program per rank, run `workload` to completion under its deadline
+/// hierarchy, hand the finished programs to `check` (the workload's
+/// oracle, which asserts on mismatch; skipped when `spec.verify` is
+/// off), take the shared [`Wiring::finish`] tail, and let `build` fold
+/// the ranks' time ledgers into the workload's result.
+fn run_wired<P: Program, R>(
     spec: &ClusterSpec,
     workload: &Workload,
-    make_driver: impl Fn(usize, Attachment) -> D,
-    check: impl FnOnce(&[&D]),
-    build: impl FnOnce(&[&D], RunTail) -> R,
+    make: impl Fn(usize, &Attachment) -> P,
+    check: impl FnOnce(&[&P]),
+    build: impl FnOnce(&[&DriverCore<P>], RunTail) -> R,
 ) -> Result<R, Box<HangReport>> {
-    let mut w = wire(spec, make_driver);
+    let mut w = wire(spec, make);
     w.run_to_completion(&DeadlineHierarchy::for_run(spec, workload))?;
-    let ranks: Vec<&D> = w.ranks().collect();
+    let ranks: Vec<&DriverCore<P>> = w.ranks().collect();
     if spec.verify {
-        check(&ranks);
+        check(&ranks.iter().map(|d| d.program()).collect::<Vec<_>>());
     }
     Ok(build(&ranks, w.finish(spec)))
 }
 
-/// The maximum over ranks of one per-rank phase time.
-fn max_over<D>(ranks: &[&D], time: impl Fn(&D) -> SimDuration) -> SimDuration {
-    ranks.iter().map(|d| time(d)).max().unwrap_or_default()
+/// The maximum over ranks of the ledger time `pick` selects.
+fn max_time<P: Program>(
+    ranks: &[&DriverCore<P>],
+    pick: impl Fn(&LedgerEntry) -> bool + Copy,
+) -> SimDuration {
+    ranks.iter().map(|d| d.time(pick)).max().unwrap_or_default()
 }
 
 /// Run the 2D-FFT application on a `rows × rows` matrix.
@@ -941,13 +929,11 @@ pub(crate) fn fft(spec: &ClusterSpec, rows: usize) -> Result<FftRunResult, Box<H
     let matrix = random_matrix(rows, spec.seed);
     let slabs = split_row_blocks(&matrix, spec.p);
     let kernels = HostKernels::athlon_1ghz();
+    let transpose = |e: &LedgerEntry| e.phase.starts_with("transpose");
     run_wired(
         spec,
         &Workload::Fft { rows },
-        |rank, attachment| {
-            let slab = slabs[rank].clone();
-            FftDriver::new(rank, spec.p, rows, slab, attachment, kernels.clone())
-        },
+        |rank, _| Fft::new(spec.p, rows, slabs[rank].clone(), kernels.clone()),
         |ranks| {
             let out: Vec<Matrix> = ranks.iter().map(|d| d.result().clone()).collect();
             let diff = join_row_blocks(&out).max_abs_diff(&fft_2d(&matrix));
@@ -958,10 +944,10 @@ pub(crate) fn fft(spec: &ClusterSpec, rows: usize) -> Result<FftRunResult, Box<H
         },
         |ranks, tail| FftRunResult {
             total: tail.total,
-            compute: max_over(ranks, |d| d.timings.compute),
-            transpose: max_over(ranks, |d| d.timings.transpose),
-            transpose_compute: max_over(ranks, |d| d.timings.transpose_compute),
-            transpose_comm: max_over(ranks, |d| d.timings.transpose - d.timings.transpose_compute),
+            compute: max_time(ranks, |e| !transpose(e)),
+            transpose: max_time(ranks, transpose),
+            transpose_compute: max_time(ranks, |e| transpose(e) && e.span == Span::Charge),
+            transpose_comm: max_time(ranks, |e| transpose(e) && e.span == Span::Exchange),
             verified: tail.verified,
             switch_drops: tail.switch_drops,
             protocol_cpu: tail.protocol_cpu,
@@ -1040,12 +1026,11 @@ pub(crate) fn sort(
     run_wired(
         spec,
         &workload,
-        |rank, attachment| {
-            let keys = inputs[rank].clone();
-            let driver = SortDriver::new(rank, spec.p, keys, variant, attachment, kernels.clone());
+        |rank, _| {
+            let sort = Sort::new(spec.p, inputs[rank].clone(), variant, kernels.clone());
             match &splitters {
-                Some(sp) => driver.with_splitters(sp.clone()),
-                None => driver,
+                Some(sp) => sort.with_splitters(sp.clone()),
+                None => sort,
             }
         },
         |ranks| {
@@ -1060,10 +1045,10 @@ pub(crate) fn sort(
         },
         |ranks, tail| SortRunResult {
             total: tail.total,
-            bucket1: max_over(ranks, |d| d.timings.bucket1),
-            comm: max_over(ranks, |d| d.timings.comm),
-            bucket2: max_over(ranks, |d| d.timings.bucket2),
-            count: max_over(ranks, |d| d.timings.count),
+            bucket1: max_time(ranks, |e| e.phase == "bucket1"),
+            comm: max_time(ranks, |e| e.phase == "exchange"),
+            bucket2: max_time(ranks, |e| e.phase == "bucket2"),
+            count: max_time(ranks, |e| e.phase == "count"),
             verified: tail.verified,
             switch_drops: tail.switch_drops,
             protocol_cpu: tail.protocol_cpu,
@@ -1229,7 +1214,7 @@ pub(crate) fn halo(
     )
 }
 
-/// Shared engine runner: wire one [`CollDriver`] per rank over the
+/// Shared engine runner: wire one collective program per rank over the
 /// given schedules, run it, and check every rank's output against
 /// `oracle` (`what` names the workload in a mismatch).
 fn run_schedules(
@@ -1311,15 +1296,14 @@ fn run_schedules(
         spec,
         workload,
         |rank, attachment| {
-            CollDriver::new(
-                rank,
-                spec.p,
-                schedules[rank].clone(),
-                inputs[rank].clone(),
-                attachment,
-                kernels.clone(),
-                offload.as_ref().map(|plans| plans[rank].clone()),
-            )
+            let offload = offload.as_ref().map(|plans| plans[rank].clone());
+            assert_eq!(
+                matches!(attachment, Attachment::Inic { .. }),
+                offload.is_some(),
+                "offload plan must accompany exactly the INIC attachments"
+            );
+            let (schedule, input) = (schedules[rank].clone(), inputs[rank].clone());
+            Coll::new(rank, spec.p, schedule, input, kernels.clone(), offload)
         },
         |ranks| {
             let expect = oracle();
@@ -1333,8 +1317,8 @@ fn run_schedules(
         },
         |ranks, tail| CollRunResult {
             total: tail.total,
-            comm: max_over(ranks, |d| d.timings.comm),
-            compute: max_over(ranks, |d| d.timings.compute),
+            comm: max_time(ranks, |e| e.span == Span::Exchange),
+            compute: max_time(ranks, |e| e.span == Span::Charge),
             verified: tail.verified,
             faults: tail.faults,
         },

@@ -1,44 +1,32 @@
-//! The per-node 2D-FFT driver — the FFTW parallel template of
-//! Section 3.1 on every network technology.
+//! The 2D-FFT program — the FFTW parallel template of Section 3.1 on
+//! every network technology.
 //!
-//! The four steps (❶ row FFTs, ❷ transpose, ❸ row FFTs, ❹ transpose) are
-//! a per-node state machine. Compute steps are identical across
-//! technologies (charged through [`HostKernels`], executed for real on
-//! the slab). The transpose differs:
+//! Four stages: ❶ row FFTs (`fft1`), ❷ transpose (`transpose1`), ❸ row
+//! FFTs (`fft2`), ❹ transpose (`transpose2`). The row FFTs are identical
+//! across technologies (charged through [`HostKernels`], executed for
+//! real on the slab). The transpose differs:
 //!
 //! * **commodity NIC** (Fig. 2(a)): the host charges the local-transpose
-//!   memory pass, sends each transposed block to its peer over TCP,
-//!   accumulates inbound blocks, then charges the final-permutation pass
-//!   before assembling the new slab;
+//!   memory pass, then runs "a serialized communications step"
+//!   (Section 3.1.2) of single-leg exchanges on the transpose's channel —
+//!   step `s` sends to `(rank+s) mod P` and waits for the block from
+//!   `(rank−s) mod P`, as FFTW's pairwise exchange does — and charges
+//!   the final-permutation pass before assembling the new slab;
 //! * **INIC** (Fig. 2(b)): the whole manipulation — local transpose,
-//!   packetize, de-packetize, interleave — runs on the card; the host
-//!   hands the slab to [`InicScatter`](acc_fpga::InicScatter) and
-//!   receives the assembled result with
-//!   [`InicGatherComplete`](acc_fpga::InicGatherComplete), paying no
-//!   memory passes at all.
+//!   packetize, de-packetize, interleave — runs on the card in one
+//!   exchange; the host hands the slab to
+//!   [`InicScatter`](acc_fpga::InicScatter) and receives the assembled
+//!   result with [`InicGatherComplete`](acc_fpga::InicGatherComplete),
+//!   paying no memory passes at all;
+//! * **INIC as a protocol processor**: the host's two memory passes
+//!   around one raw card exchange.
 //!
-//! # Fault handling
-//!
-//! With a [`FaultCtl`](super::FaultCtl) wired, the driver also models a host that can
-//! stall (every event is deferred to the end of the stall window) and a
-//! collective that survives card deaths rank-locally: the dead rank
-//! degrades to its fallback `TcpHostNic` while healthy ranks keep the
-//! card datapath, running a **mixed-technology transpose** — the card
+//! Under rank-local recovery the dead rank degrades to its fallback
+//! `TcpHostNic` and runs the commodity transpose, while healthy ranks
+//! keep the card datapath in a **mixed-technology transpose**: the card
 //! exchanges blocks among healthy ranks, the host carries the dead
-//! ranks' blocks over TCP and interleaves them into the card's slab.
-//! Each completed phase can checkpoint the slab so a failover resumes
-//! from the last phase every rank completed, negotiated through the
-//! [`RecoveryCoordinator`](super::RecoveryCoordinator).
-//!
-//! The recovery protocol and the exchange plumbing live in the driver
-//! core (`drivers::handle` and its `Exchange`): this driver supplies
-//! only the slab handling around them. Each INIC transpose is one
-//! exchange (card gather and scatter plus the TCP legs to dead ranks);
-//! the commodity transpose is a pairwise sequence of single-leg
-//! exchanges on the transpose's channel.
-
-use std::any::Any;
-use std::collections::BTreeMap;
+//! ranks' blocks over TCP and interleaves them into the card's slab. A
+//! checkpoint is the slab after a stage.
 
 use acc_algos::fft::{fft_in_place, Direction, Matrix};
 use acc_algos::transpose::{
@@ -47,139 +35,52 @@ use acc_algos::transpose::{
 };
 use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime, StatsRegistry};
+use acc_sim::DataSize;
 
-use super::{Attachment, Driver, DriverCore, DriverProgress, ExchangeDone, ExchangePlan, LegLen};
+use super::{ExchangeDone, ExchangePlan, LegLen, Program, Rank, Step};
 
-/// Where the state machine is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
-    /// Waiting for the start event / card configuration.
-    Init,
-    /// Row FFTs number `i` (1 or 2).
-    Fft(u8),
-    /// Transpose number `i`: commodity local-transpose charge running.
-    LocalTranspose(u8),
-    /// Transpose number `i`: blocks in flight / being gathered.
-    Exchange(u8),
-    /// Transpose number `i`: final-permutation charge running.
-    Permute(u8),
-    /// Finished.
-    Done,
-}
+/// The phase name of each stage; the transposes are the odd stages.
+const PHASES: [&str; 4] = ["fft1", "transpose1", "fft2", "transpose2"];
 
-/// Charged compute windows.
-pub(crate) enum Step {
-    FftCompute,
-    LocalTranspose,
-    Permute,
-}
-
-/// Timing record of one completed run, readable after `sim.run()`.
-#[derive(Clone, Debug, Default)]
-pub struct FftTimings {
-    /// Sum of both row-FFT phases.
-    pub compute: SimDuration,
-    /// Sum of both transposes (wall time per node, including overlap).
-    pub transpose: SimDuration,
-    /// Host compute buried inside the transposes (local transpose +
-    /// final permutation charges) — zero on INIC paths, where the card
-    /// absorbs the data manipulation.
-    pub transpose_compute: SimDuration,
-}
-
-/// The per-node FFT application driver.
-pub struct FftDriver {
-    core: DriverCore,
+/// One rank of the 2D FFT.
+pub(crate) struct Fft {
     p: usize,
     rows: usize,
     m: usize,
     kernels: HostKernels,
+    /// The node's `rows/P × rows` input row block, kept for a restart
+    /// from scratch.
+    input: Matrix,
+    /// The working slab, transformed in place.
     slab: Matrix,
-    phase: Phase,
-    phase_entered: SimTime,
-    /// Start of the current transpose sub-phase (local transpose or
-    /// final permutation) for the compute/comm decomposition.
-    subphase_entered: SimTime,
-    /// Current pairwise exchange step (1-based) — commodity path. The
-    /// transpose is "a serialized communications step" (Section 3.1.2):
-    /// step `s` sends to `(rank+s) mod P` and waits for the block from
-    /// `(rank−s) mod P` before proceeding, as FFTW's pairwise exchange
-    /// does.
-    exchange_step: usize,
-    /// Blocks received so far by the pairwise exchange: source rank and
-    /// bytes, interleaved once the final-permutation charge ran.
+    /// Blocks received by the pairwise exchange: source rank and bytes.
     blocks: Vec<(usize, Vec<u8>)>,
-    /// Raw gather held while the final-permutation charge runs
-    /// (protocol-processor mode): per-source concatenated blocks plus
-    /// per-source end offsets.
+    /// Raw gather (protocol-processor mode): per-source concatenated
+    /// blocks plus per-source end offsets.
     raw_gather: Option<(Vec<u8>, Vec<usize>)>,
-    /// Untouched copy of the input slab: `begin_fft` transforms `slab`
-    /// in place, so a card-failure restart needs the original back.
-    pristine: Matrix,
-    /// Phase checkpoints: slab snapshots keyed by completed phase
-    /// (1 = row FFTs #1, 2 = transpose #1, 3 = row FFTs #2). Captured
-    /// only under [`RecoveryPolicy::Checkpointed`] with a coordinator.
-    ckpts: BTreeMap<u32, Matrix>,
-    /// Timings, filled as the run progresses.
-    pub timings: FftTimings,
 }
 
-impl FftDriver {
-    /// Build a driver holding `slab` (the node's `rows/P × rows` row
-    /// block).
-    pub fn new(
-        rank: usize,
-        p: usize,
-        rows: usize,
-        slab: Matrix,
-        attachment: Attachment,
-        kernels: HostKernels,
-    ) -> FftDriver {
-        assert_eq!(slab.rows(), rows / p, "slab height");
-        assert_eq!(slab.cols(), rows, "slab width");
-        FftDriver {
-            // One exchange per transpose.
-            core: DriverCore::new(format!("fft-driver{rank}"), rank, attachment, 2),
+impl Fft {
+    /// Rank program holding `input`, the node's `rows/P × rows` row
+    /// block.
+    pub(crate) fn new(p: usize, rows: usize, input: Matrix, kernels: HostKernels) -> Fft {
+        assert_eq!(input.rows(), rows / p, "slab height");
+        assert_eq!(input.cols(), rows, "slab width");
+        Fft {
             p,
             rows,
             m: rows / p,
             kernels,
-            pristine: slab.clone(),
-            slab,
-            phase: Phase::Init,
-            phase_entered: SimTime::ZERO,
-            subphase_entered: SimTime::ZERO,
-            exchange_step: 0,
+            input,
+            slab: Matrix::zeros(0, 0),
             blocks: Vec::new(),
             raw_gather: None,
-            ckpts: BTreeMap::new(),
-            timings: FftTimings::default(),
         }
     }
 
-    /// The node's final slab (the 2D FFT's row block) once done.
-    pub fn result(&self) -> &Matrix {
-        assert_eq!(self.phase, Phase::Done, "driver not finished");
+    /// The node's row block of the 2D FFT, once done.
+    pub(crate) fn result(&self) -> &Matrix {
         &self.slab
-    }
-
-    /// Whether the run completed.
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
-    /// Phase name for liveness attribution; the two transposes report
-    /// as one phase each (their sub-phases share one model budget).
-    fn phase_name(&self) -> &'static str {
-        match self.phase {
-            Phase::Init => "init",
-            Phase::Fft(1) => "fft1",
-            Phase::Fft(_) => "fft2",
-            Phase::LocalTranspose(1) | Phase::Exchange(1) | Phase::Permute(1) => "transpose1",
-            Phase::LocalTranspose(_) | Phase::Exchange(_) | Phase::Permute(_) => "transpose2",
-            Phase::Done => "done",
-        }
     }
 
     fn partition_bytes(&self) -> DataSize {
@@ -198,53 +99,46 @@ impl FftDriver {
         out
     }
 
-    // ---- phase transitions ----
-
-    fn begin_fft(&mut self, which: u8, ctx: &mut Ctx) {
-        self.phase = Phase::Fft(which);
-        self.phase_entered = ctx.now();
-        if which == 1 {
-            self.core.started_at.get_or_insert(ctx.now());
+    /// Step `step` of a transpose.
+    fn transpose(&mut self, rank: &Rank, phase: &'static str, step: usize) -> Option<Step> {
+        let mode = rank.attachment.inic_mode();
+        if !matches!(mode, None | Some(InicMode::ProtocolProcessor)) {
+            return (step == 0).then(|| Step::Exchange {
+                phase,
+                plan: self.card_transpose(rank),
+            });
         }
-        // The real computation.
-        for r in 0..self.slab.rows() {
-            fft_in_place(self.slab.row_mut(r), Direction::Forward);
+        // The host performs the data manipulation (commodity NIC, or an
+        // INIC used purely as a protocol processor): local transpose,
+        // the block exchange, final permutation.
+        let permute = if mode.is_none() { self.p } else { 2 };
+        let charge = |time| Some(Step::Charge { phase, time });
+        match step {
+            0 => charge(self.kernels.local_transpose_time(self.partition_bytes())),
+            s if s < permute => {
+                let plan = if mode.is_none() {
+                    self.pairwise(rank, s)
+                } else {
+                    self.raw_transpose(rank)
+                };
+                Some(Step::Exchange { phase, plan })
+            }
+            s if s == permute => {
+                self.assemble(rank);
+                charge(self.kernels.final_permutation_time(self.partition_bytes()))
+            }
+            _ => None,
         }
-        // The charged time: one of the two Eq. 4 halves.
-        let charge = self.kernels.fft_compute_time(self.rows, self.p) / 2;
-        self.core.timer_in(ctx, charge, Step::FftCompute);
     }
 
-    fn on_fft_done(&mut self, ctx: &mut Ctx) {
-        let Phase::Fft(which) = self.phase else {
-            panic!("{}: FftComputeDone outside Fft phase", self.core.label);
-        };
-        self.timings.compute += ctx.now().since(self.phase_entered);
-        if self.core.ckpt_armed() {
-            let k = if which == 1 { 1 } else { 3 };
-            self.ckpts.insert(k, self.slab.clone());
-        }
-        self.begin_transpose(which, ctx);
-    }
-
-    fn begin_transpose(&mut self, which: u8, ctx: &mut Ctx) {
-        self.phase_entered = ctx.now();
-        if matches!(
-            self.core.attachment.inic_mode(),
-            None | Some(InicMode::ProtocolProcessor)
-        ) {
-            // Host performs the data manipulation (commodity NIC, or an
-            // INIC used purely as a protocol processor).
-            self.phase = Phase::LocalTranspose(which);
-            self.subphase_entered = ctx.now();
-            let charge = self.kernels.local_transpose_time(self.partition_bytes());
-            self.core.timer_in(ctx, charge, Step::LocalTranspose);
-            return;
-        }
-        self.phase = Phase::Exchange(which);
+    /// Combined INIC: the card transposes and interleaves. Mixed-
+    /// technology legs: the dead ranks' blocks cannot ride the card
+    /// (their cards are gone), so the host extracts and ships them over
+    /// the fallback TCP path.
+    fn card_transpose(&self, rank: &Rank) -> ExchangePlan {
         let bb = self.block_bytes();
-        let dead = &self.core.dead;
-        let plan = ExchangePlan {
+        let dead = &rank.dead;
+        ExchangePlan {
             gather: Some((
                 GatherKind::InterleaveBlocks {
                     m: self.m,
@@ -260,38 +154,22 @@ impl FftDriver {
                 // acc-lint: allow(R7, reason = "the one send-side encode: the slab crosses to the card in wire form")
                 slab_to_bytes(&self.slab),
             )),
-            // Mixed-technology legs: the dead ranks' blocks cannot ride
-            // the card (their cards are gone), so the host extracts and
-            // ships them over the fallback TCP path.
             sends: dead.iter().map(|&d| (d, self.wire_block(d))).collect(),
             recvs: dead.iter().map(|&d| (d, LegLen::Fixed(bb))).collect(),
             ..ExchangePlan::default()
-        };
-        self.open_exchange(usize::from(which) - 1, plan, ctx);
+        }
     }
 
-    /// Local transpose charge done. Commodity path: begin the
-    /// serialized pairwise exchange. Protocol-processor path: hand the
-    /// pre-transposed blocks to the card for transmission.
-    fn on_local_transpose_done(&mut self, ctx: &mut Ctx) {
-        let Phase::LocalTranspose(which) = self.phase else {
-            panic!("{}: LocalTransposeDone out of phase", self.core.label);
-        };
-        self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
-        self.phase = Phase::Exchange(which);
-        if self.core.attachment.inic_mode().is_none() {
-            self.exchange_step = 0;
-            return self.next_step(which, ctx);
-        }
+    /// Protocol processor: the blocks in ring order (own rank first),
+    /// transposed on the host — the card only packetizes.
+    fn raw_transpose(&self, rank: &Rank) -> ExchangePlan {
         let bb = self.block_bytes();
-        // Blocks in ring order (own rank first), transposed on the
-        // host — the card only packetizes.
         let mut data = Vec::with_capacity(self.p * bb);
         for step in 0..self.p {
-            let q = (self.core.rank + step) % self.p;
+            let q = (rank.rank + step) % self.p;
             push_transposed_block(&self.slab, q, &mut data);
         }
-        let plan = ExchangePlan {
+        ExchangePlan {
             gather: Some((
                 GatherKind::Raw,
                 (0..self.p as u32).map(|s| (s, Some(bb))).collect(),
@@ -303,44 +181,23 @@ impl FftDriver {
                 data,
             )),
             ..ExchangePlan::default()
-        };
-        self.open_exchange(usize::from(which) - 1, plan, ctx);
-    }
-
-    /// Commodity path: post the next pairwise step's block and wait for
-    /// its inbound one; after the last step, charge the final
-    /// permutation.
-    fn next_step(&mut self, which: u8, ctx: &mut Ctx) {
-        self.exchange_step += 1;
-        if self.exchange_step < self.p {
-            let (rank, step) = (self.core.rank, self.exchange_step);
-            let to = (rank + step) % self.p;
-            let from = (rank + self.p - step) % self.p;
-            let plan = ExchangePlan {
-                sends: vec![(to, self.wire_block(to))],
-                recvs: vec![(from, LegLen::Fixed(self.block_bytes()))],
-                ..ExchangePlan::default()
-            };
-            return self.open_exchange(usize::from(which) - 1, plan, ctx);
         }
-        self.begin_permute(which, ctx);
     }
 
-    /// Charge the host's final permutation of transpose `which`.
-    fn begin_permute(&mut self, which: u8, ctx: &mut Ctx) {
-        self.phase = Phase::Permute(which);
-        self.subphase_entered = ctx.now();
-        let charge = self.kernels.final_permutation_time(self.partition_bytes());
-        self.core.timer_in(ctx, charge, Step::Permute);
+    /// Commodity pairwise step `s`: one block out, one block in.
+    fn pairwise(&self, rank: &Rank, s: usize) -> ExchangePlan {
+        let to = (rank.rank + s) % self.p;
+        let from = (rank.rank + self.p - s) % self.p;
+        ExchangePlan {
+            sends: vec![(to, self.wire_block(to))],
+            recvs: vec![(from, LegLen::Fixed(self.block_bytes()))],
+            ..ExchangePlan::default()
+        }
     }
 
-    /// Host-transpose paths: permutation charge done — assemble the new
-    /// slab.
-    fn on_permute_done(&mut self, ctx: &mut Ctx) {
-        let Phase::Permute(which) = self.phase else {
-            panic!("{}: PermuteDone out of phase", self.core.label);
-        };
-        self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
+    /// Host-transpose paths: assemble the new slab from the received
+    /// blocks, as the final permutation's charge begins.
+    fn assemble(&mut self, rank: &Rank) {
         let mut out = Matrix::zeros(self.m, self.rows);
         if let Some((data, bounds)) = self.raw_gather.take() {
             // Protocol-processor path: per-source blocks arrived via the
@@ -351,139 +208,64 @@ impl FftDriver {
                 start = end;
             }
         } else {
-            let rank = self.core.rank;
-            interleave_block(&mut out, rank, &extract_transposed_block(&self.slab, rank));
+            let own = extract_transposed_block(&self.slab, rank.rank);
+            interleave_block(&mut out, rank.rank, &own);
             for (s, bytes) in self.blocks.drain(..) {
                 interleave_block_from_wire(&mut out, s, &bytes);
             }
         }
         self.slab = out;
-        self.finish_transpose(which, ctx);
-    }
-
-    fn finish_transpose(&mut self, which: u8, ctx: &mut Ctx) {
-        self.timings.transpose += ctx.now().since(self.phase_entered);
-        match which {
-            1 => {
-                if self.core.ckpt_armed() {
-                    self.ckpts.insert(2, self.slab.clone());
-                }
-                self.begin_fft(2, ctx);
-            }
-            2 => {
-                self.phase = Phase::Done;
-                self.core.mark_done(ctx);
-            }
-            _ => unreachable!(),
-        }
     }
 }
 
-impl Driver for FftDriver {
-    type Step = Step;
+impl Program for Fft {
+    type Snapshot = Matrix;
+    const NAME: &'static str = "fft-driver";
 
-    fn core(&self) -> &DriverCore {
-        &self.core
+    fn stages(&self) -> usize {
+        PHASES.len()
     }
 
-    fn core_mut(&mut self) -> &mut DriverCore {
-        &mut self.core
+    /// One exchange tag per transpose.
+    fn exchanges(&self) -> usize {
+        2
     }
 
-    fn progress(&self) -> DriverProgress {
-        self.core
-            .progress(self.phase_name(), self.phase_entered, self.is_done())
+    fn exchange_index(&self, stage: usize) -> usize {
+        stage / 2
     }
 
-    fn bitstream(&self) -> Bitstream {
-        match self.core.attachment.inic_mode() {
+    fn bitstream(&self, rank: &Rank) -> Bitstream {
+        match rank.attachment.inic_mode() {
             Some(InicMode::ProtocolProcessor) => Bitstream::protocol_only(),
             _ => Bitstream::fft_transpose(self.m),
         }
     }
 
-    fn begin(&mut self, ctx: &mut Ctx) {
-        self.begin_fft(1, ctx);
-    }
-
-    /// Highest phase this rank could resume from (4 = finished).
-    fn completed_phase(&self) -> u32 {
-        if self.phase == Phase::Done {
-            return 4;
+    fn step(&mut self, rank: &Rank, stage: usize, step: usize) -> Option<Step> {
+        let phase = PHASES[stage];
+        if stage % 2 == 1 {
+            return self.transpose(rank, phase, step);
         }
-        (1..=3u32)
-            .rev()
-            .find(|k| self.ckpts.contains_key(k))
-            .unwrap_or(0)
-    }
-
-    /// `slab` was transformed in place by the aborted attempt, so the
-    /// restart begins again from the pristine copy.
-    fn reset(&mut self, _node: usize, _stream: Option<u32>, _ctx: &mut Ctx) {
-        self.slab = self.pristine.clone();
-        self.blocks.clear();
-        self.raw_gather = None;
-        self.timings = FftTimings::default();
-        self.phase = Phase::Init;
-    }
-
-    fn resume(&mut self, phase: u32, ctx: &mut Ctx) {
-        if phase >= 4 {
-            return; // every rank had already finished
+        if step > 0 {
+            return None;
         }
-        self.blocks.clear();
-        self.raw_gather = None;
-        let restore = |ckpts: &BTreeMap<u32, Matrix>, k: u32| {
-            ckpts
-                .get(&k)
-                .cloned()
-                .unwrap_or_else(|| panic!("resume phase {k} without its checkpoint"))
-        };
-        match phase {
-            0 => {
-                self.slab = self.pristine.clone();
-                self.begin_fft(1, ctx);
-            }
-            1 => {
-                self.slab = restore(&self.ckpts, 1);
-                self.begin_transpose(1, ctx);
-            }
-            2 => {
-                self.slab = restore(&self.ckpts, 2);
-                self.begin_fft(2, ctx);
-            }
-            3 => {
-                self.slab = restore(&self.ckpts, 3);
-                self.begin_transpose(2, ctx);
-            }
-            _ => unreachable!(),
+        for r in 0..self.slab.rows() {
+            fft_in_place(self.slab.row_mut(r), Direction::Forward);
         }
+        // The charged time: one of the two Eq. 4 halves.
+        let time = self.kernels.fft_compute_time(self.rows, self.p) / 2;
+        Some(Step::Charge { phase, time })
     }
 
-    fn on_step(&mut self, step: Step, ctx: &mut Ctx) {
-        match step {
-            Step::FftCompute => self.on_fft_done(ctx),
-            Step::LocalTranspose => self.on_local_transpose_done(ctx),
-            Step::Permute => self.on_permute_done(ctx),
-        }
-    }
-
-    fn on_exchange(&mut self, mut done: ExchangeDone, ctx: &mut Ctx) {
-        let Phase::Exchange(which) = self.phase else {
-            panic!("{}: exchange completed out of phase", self.core.label);
-        };
-        match self.core.attachment.inic_mode() {
-            // One pairwise step done.
-            None => {
-                self.blocks.append(&mut done.legs);
-                self.next_step(which, ctx);
-            }
+    fn on_exchange(&mut self, rank: &Rank, mut done: ExchangeDone) {
+        match rank.attachment.inic_mode() {
+            None => self.blocks.append(&mut done.legs),
             // The host still owes the final permutation.
             Some(InicMode::ProtocolProcessor) => {
                 let g = done.gather.expect("raw gather");
                 let bounds = g.bucket_bounds.expect("raw gather carries bounds");
                 self.raw_gather = Some((g.data, bounds));
-                self.begin_permute(which, ctx);
             }
             // The card interleaved the healthy ranks' blocks; the host
             // interleaves the dead ranks' blocks into the same slab
@@ -497,31 +279,23 @@ impl Driver for FftDriver {
                     interleave_block_from_wire(&mut out, d, &bytes);
                 }
                 self.slab = out;
-                self.finish_transpose(which, ctx);
             }
         }
     }
 
-    fn wait_detail(&self) -> Option<String> {
-        (self.core.attachment.inic_mode().is_none() && matches!(self.phase, Phase::Exchange(_)))
-            .then(|| format!("pairwise step {}/{}", self.exchange_step, self.p - 1))
-    }
-}
-
-impl Component for FftDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        super::handle(self, ev, ctx);
+    fn snapshot(&self) -> Matrix {
+        self.slab.clone()
     }
 
-    fn name(&self) -> &str {
-        &self.core.label
+    fn restore(&mut self, _rank: &Rank, snapshot: Option<Matrix>) {
+        self.slab = snapshot.unwrap_or_else(|| self.input.clone());
+        self.blocks.clear();
+        self.raw_gather = None;
     }
 
-    fn register_stats(&mut self, stats: &mut StatsRegistry) {
-        self.core.register_stats(stats);
-    }
-
-    fn wait_state(&self) -> Option<String> {
-        super::wait_state(self)
+    fn wait_detail(&self, rank: &Rank, stage: usize, step: usize) -> Option<String> {
+        let pairwise = stage % 2 == 1 && rank.attachment.inic_mode().is_none();
+        (pairwise && (1..self.p).contains(&step))
+            .then(|| format!("pairwise step {step}/{}", self.p - 1))
     }
 }

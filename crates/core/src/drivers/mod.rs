@@ -8,27 +8,44 @@
 //! commodity technologies or an [`InicCard`](acc_fpga::InicCard) for
 //! the INIC technologies.
 //!
-//! # The driver core
+//! # Programs and the driver core
 //!
-//! Every driver runs on one core, implemented here. `DriverCore` holds
-//! the per-rank state and `handle` is the one event prologue: stall
-//! deferral, start/configure, the card-failure protocol ([`CardFailed`],
-//! [`ResumeAt`], `InicConfigured`, the epoch check on self timers) and
-//! the exchange events.
+//! Every node runs one driver component, `DriverCore`, generic over the
+//! application it runs. An application is a *program*: a list of
+//! stages, each a sequence of steps, where a step is a charged
+//! host-compute window or one *exchange*. The FFT has four stages
+//! (`fft1`, `transpose1`, `fft2`, `transpose2`), the sort two (the key
+//! exchange; then bucket2 and count), a collective one per schedule
+//! round. A program keeps only its data handling, behind the `Program`
+//! trait: what each step computes and puts on the wire, what it does
+//! with a completed exchange, its bitstream, a `Snapshot` of its state,
+//! and the phase name of each step (the
+//! [`DeadlineHierarchy`](crate::deadline::DeadlineHierarchy) budget
+//! name).
 //!
-//! An *exchange* is one all-to-all step: the FFT's transpose, the
-//! sort's key exchange, one collective round. The core's `Exchange`
-//! issues the card gather and scatter, sends the TCP legs (over the
-//! commodity NIC, or on an INIC over the fallback NIC to dead peers),
-//! reassembles inbound TCP legs per `(source rank, channel)`, namespaces
-//! stream and channel ids by failover epoch, drops stale card
-//! completions, and calls the driver's `on_exchange` hook once when the
-//! gather, any awaited scatter and every TCP leg are in.
+//! The core owns everything around that, once:
 //!
-//! A driver keeps only its data handling, plugged in through the
-//! `Driver` hooks: its bitstream, `begin`, what goes into each exchange
-//! and what it does with what comes out, its completed phase, the reset
-//! for a full restart and the resume from checkpoint `k`.
+//! * step sequencing, with one epoch-tagged timer for charge windows;
+//! * the [`DriverProgress`] the liveness layer reads;
+//! * the checkpoint store (a snapshot after each completed stage, when
+//!   armed), the completed phase reported to the coordinator, the
+//!   resume from checkpoint `k` and the reset for a full restart;
+//! * completion;
+//! * the per-rank time ledger: the wall time of every charge window and
+//!   every exchange, keyed by stage and step ([`LedgerEntry`]), from
+//!   which the cluster derives each workload's phase times;
+//! * the event prologue: stall deferral, start/configure and the
+//!   card-failure protocol ([`CardFailed`], [`ResumeAt`],
+//!   `InicConfigured`, the epoch check on timers).
+//!
+//! An exchange is one all-to-all step: the FFT's transpose, the sort's
+//! key exchange, one collective round. The core's `Exchange` issues the
+//! card gather and scatter, sends the TCP legs (over the commodity NIC,
+//! or on an INIC over the fallback NIC to dead peers), reassembles
+//! inbound TCP legs per `(source rank, channel)`, namespaces stream and
+//! channel ids by failover epoch, drops stale card completions, and
+//! hands the program the exchange once the gather, any awaited scatter
+//! and every TCP leg are in.
 
 pub mod coll;
 pub mod fft;
@@ -48,7 +65,6 @@ use acc_net::MacAddr;
 use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::stats::CounterId;
 use acc_sim::{Component, ComponentId, Ctx, SimDuration, SimTime, StatsRegistry};
-
 /// How a node reaches the network.
 #[derive(Clone, Debug)]
 pub enum Attachment {
@@ -111,8 +127,7 @@ pub enum RecoveryPolicy {
 }
 
 /// One rank's phase snapshot, read by the liveness layer to attribute a
-/// hang to a named phase and rank. Every driver exposes it via a
-/// `progress()` accessor; the phase names match the
+/// hang to a named phase and rank. The phase names match the
 /// [`DeadlineHierarchy`](crate::deadline::DeadlineHierarchy) budgets.
 #[derive(Clone, Debug)]
 pub struct DriverProgress {
@@ -179,12 +194,6 @@ pub struct ResumeAt {
     pub phase: u32,
 }
 
-/// Self event closing a charged host-compute window, tagged with the
-/// failover epoch that armed it: a failover bumps the epoch and
-/// restarts the state machine, so a timer from the abandoned attempt is
-/// dropped instead of firing into the new one.
-struct Timer<S>(u64, S);
-
 /// The length of an inbound TCP leg.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum LegLen {
@@ -218,6 +227,7 @@ pub(crate) struct ExchangePlan {
 }
 
 /// A completed exchange, its bytes moved out of the exchange.
+#[derive(Default)]
 pub(crate) struct ExchangeDone {
     /// The card gather, when the plan announced one.
     pub gather: Option<InicGatherComplete>,
@@ -326,17 +336,19 @@ impl Exchange {
         if o.awaiting_gather() || o.scatter == Scatter::Awaited {
             return None;
         }
-        let wants: Vec<usize> = o
+        if !o
             .legs
             .iter()
-            .map(|&(src, len)| self.whole(src, o.chan, len))
-            .collect::<Option<_>>()?;
+            .all(|&(src, len)| self.whole(src, o.chan, len).is_some())
+        {
+            return None;
+        }
         let o = self.open.take().expect("checked open");
         let legs = o
             .legs
             .iter()
-            .zip(wants)
-            .map(|(&(src, len), want)| {
+            .map(|&(src, len)| {
+                let want = self.whole(src, o.chan, len).expect("checked whole");
                 let mut buf = self.rx.remove(&(src, o.chan)).expect("checked whole");
                 assert_eq!(
                     buf.len(),
@@ -401,10 +413,9 @@ acc_sim::counter_set! {
     struct DriverCounters { card_failovers, stall_deferrals, phase_resumes }
 }
 
-/// The per-rank state every driver shares: identity, network attachment,
-/// the exchange engine and the card-failure recovery protocol that
-/// [`handle`] runs.
-pub(crate) struct DriverCore {
+/// What a program may read of its rank: identity, network attachment,
+/// the exchange engine and the card-failure recovery state.
+pub(crate) struct Rank {
     label: String,
     rank: usize,
     /// How the node reaches the network; a failover swaps in the
@@ -416,7 +427,7 @@ pub(crate) struct DriverCore {
     /// rank, so streams, TCP channels and timers from before a failure
     /// can never satisfy work issued after it.
     epoch: u64,
-    /// Exchanges the driver runs per epoch: the span of its tags.
+    /// Exchanges the program runs per epoch: the span of its tags.
     exchanges: usize,
     /// The exchange engine.
     xchg: Exchange,
@@ -435,7 +446,7 @@ pub(crate) struct DriverCore {
     pending_resume: Option<ResumeAt>,
     /// The checkpoint phase the last resume restarted from.
     resumed_from: Option<u32>,
-    /// Whether this driver already counted itself in `drivers_done`.
+    /// Whether this rank already counted itself in `drivers_done`.
     reported_done: bool,
     /// When this rank started computing (after configuration on INIC
     /// technologies). Set once: a failover restart keeps the original
@@ -448,14 +459,14 @@ pub(crate) struct DriverCore {
     drivers_done: CounterId,
 }
 
-impl DriverCore {
+impl Rank {
     /// A rank running `exchanges` exchanges per epoch.
-    fn new(label: String, rank: usize, attachment: Attachment, exchanges: usize) -> DriverCore {
+    fn new(label: String, rank: usize, attachment: Attachment, exchanges: usize) -> Rank {
         assert!(
             exchanges < usize::from(u16::MAX),
             "exchange index must fit the TCP channel id"
         );
-        DriverCore {
+        Rank {
             label,
             rank,
             attachment,
@@ -477,13 +488,6 @@ impl DriverCore {
         }
     }
 
-    /// Register the rank's counters; every driver's
-    /// [`Component::register_stats`] delegates here.
-    pub(crate) fn register_stats(&mut self, stats: &mut StatsRegistry) {
-        self.counters = DriverCounters::register(stats, &self.label);
-        self.drivers_done = stats.register_counter("cluster", "drivers_done");
-    }
-
     /// Whether this rank completed over the degraded fallback path.
     pub(crate) fn degraded(&self) -> bool {
         self.failed_over
@@ -500,14 +504,9 @@ impl DriverCore {
             && self.fault_ctl.policy == RecoveryPolicy::Checkpointed
     }
 
-    /// Arm a host-compute timer in the current epoch.
-    fn timer_in<S: 'static>(&self, ctx: &mut Ctx, after: SimDuration, step: S) {
-        ctx.self_in(after, Timer(self.epoch, step));
-    }
-
     /// Record the finish instant and count this rank into the cluster's
     /// `drivers_done` — once, even when a resume re-runs the finished
-    /// schedule.
+    /// program.
     fn mark_done(&mut self, ctx: &mut Ctx) {
         // Post-failover, bytes parked on dead-epoch channels are expected
         // leftovers; on a clean run they are a protocol bug.
@@ -520,17 +519,6 @@ impl DriverCore {
         if !self.reported_done {
             self.reported_done = true;
             ctx.stats()[self.drivers_done].inc();
-        }
-    }
-
-    /// Phase snapshot for the liveness layer.
-    fn progress(&self, phase: &'static str, entered: SimTime, done: bool) -> DriverProgress {
-        DriverProgress {
-            rank: self.rank,
-            phase,
-            entered,
-            paused: self.paused,
-            done,
         }
     }
 
@@ -618,257 +606,499 @@ impl DriverCore {
     }
 }
 
-/// The application half of a node driver: its data handling, plugged
-/// into the shared recovery protocol of [`handle`].
-pub(crate) trait Driver: Component + Sized + 'static {
-    /// The driver's kinds of charged host-compute window.
-    type Step: 'static;
+/// What a program runs next within a stage. Each step names its phase:
+/// the name the rank reports while the step runs, which is the
+/// [`DeadlineHierarchy`](crate::deadline::DeadlineHierarchy) budget it
+/// is held to.
+pub(crate) enum Step {
+    /// A charged host-compute window of length `time`.
+    Charge {
+        phase: &'static str,
+        time: SimDuration,
+    },
+    /// One exchange.
+    Exchange {
+        phase: &'static str,
+        plan: ExchangePlan,
+    },
+}
 
-    /// The shared per-rank state.
-    fn core(&self) -> &DriverCore;
+/// An application run by the driver core: its data handling, stage by
+/// stage. The core calls [`step`](Program::step) with a step counter
+/// that starts at 0 on entering a stage and advances when a charge
+/// window closes or an exchange completes; the program performs the
+/// step's real data work when it returns the step.
+pub(crate) trait Program: 'static {
+    /// The program state a checkpoint captures.
+    type Snapshot: Clone;
 
-    /// The shared per-rank state, mutably.
-    fn core_mut(&mut self) -> &mut DriverCore;
+    /// Component label prefix; the rank number follows.
+    const NAME: &'static str;
 
-    /// Phase snapshot for the liveness layer.
-    fn progress(&self) -> DriverProgress;
+    /// The number of stages.
+    fn stages(&self) -> usize;
 
-    /// Attach fault-handling configuration (builder style).
-    #[must_use]
-    fn with_fault_ctl(mut self, ctl: FaultCtl) -> Self {
-        self.core_mut().fault_ctl = ctl;
-        self
+    /// Exchanges per epoch: the span of the rank's exchange tags.
+    fn exchanges(&self) -> usize;
+
+    /// The tag index of the exchanges stage `stage` issues.
+    fn exchange_index(&self, stage: usize) -> usize {
+        stage
     }
 
     /// The bitstream an INIC attachment loads before the run starts.
-    fn bitstream(&self) -> Bitstream;
+    fn bitstream(&self, rank: &Rank) -> Bitstream;
 
-    /// Start the run: on the start event over TCP, once the bitstream
-    /// landed on an INIC, and over the fallback after a full restart.
-    fn begin(&mut self, ctx: &mut Ctx);
+    /// Step `step` of stage `stage`, or `None` once the stage is
+    /// complete.
+    fn step(&mut self, rank: &Rank, stage: usize, step: usize) -> Option<Step>;
 
-    /// Highest checkpoint this rank can resume from (its final phase
-    /// once done), reported to the coordinator.
-    fn completed_phase(&self) -> u32;
+    /// The exchange of the step in progress completed.
+    fn on_exchange(&mut self, rank: &Rank, done: ExchangeDone);
 
-    /// Forget the aborted attempt before a full restart from the
-    /// retained input; `node` is the rank whose card died and `stream`
-    /// the card stream the abandoned exchange left in flight.
-    fn reset(&mut self, node: usize, stream: Option<u32>, ctx: &mut Ctx);
+    /// The state to checkpoint after a completed stage.
+    fn snapshot(&self) -> Self::Snapshot;
 
-    /// Restore checkpoint `phase` (0 = from scratch) and continue.
-    fn resume(&mut self, phase: u32, ctx: &mut Ctx);
+    /// Reinstate a checkpoint, or the input when `snapshot` is `None`,
+    /// and forget any partial step: every (re)start begins here.
+    fn restore(&mut self, rank: &Rank, snapshot: Option<Self::Snapshot>);
 
-    /// A charged compute window of the current epoch closed.
-    fn on_step(&mut self, step: Self::Step, ctx: &mut Ctx);
+    /// Before a full restart abandons the card: `node` is the rank whose
+    /// card died and `stream` the card stream the abandoned exchange left
+    /// in flight.
+    fn before_full_restart(
+        &mut self,
+        _rank: &Rank,
+        _node: usize,
+        _stream: Option<u32>,
+        _ctx: &mut Ctx,
+    ) {
+    }
 
-    /// The open exchange completed.
-    fn on_exchange(&mut self, done: ExchangeDone, ctx: &mut Ctx);
-
-    /// One driver-specific detail for the wait state.
-    fn wait_detail(&self) -> Option<String> {
+    /// One program-specific detail for the wait state.
+    fn wait_detail(&self, _rank: &Rank, _stage: usize, _step: usize) -> Option<String> {
         None
     }
-
-    /// Open exchange `index` of the current epoch, and complete it at
-    /// once if everything it waits for is already here.
-    fn open_exchange(&mut self, index: usize, plan: ExchangePlan, ctx: &mut Ctx) {
-        self.core_mut().issue(index, plan, ctx);
-        poll(self, ctx);
-    }
 }
 
-/// Hand the open exchange to the driver if it completed.
-fn poll<D: Driver>(d: &mut D, ctx: &mut Ctx) {
-    if let Some(done) = d.core_mut().xchg.take_complete() {
-        d.on_exchange(done, ctx);
-    }
+/// What a [`LedgerEntry`] timed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Span {
+    /// A charged host-compute window.
+    Charge,
+    /// An exchange, from issue to completion.
+    Exchange,
 }
 
-/// The wait state of every driver: rank, phase, epoch, what the open
-/// exchange still waits for, and the driver's detail.
-fn wait_state<D: Driver>(d: &D) -> Option<String> {
-    let p = d.progress();
-    if p.done {
-        return None;
-    }
-    let core = d.core();
-    let mut out = format!(
-        "rank {} in {} since {} (epoch {}{}",
-        p.rank,
-        p.phase,
-        p.entered,
-        core.epoch,
-        core.xchg.describe()
-    );
-    if let Some(detail) = d.wait_detail() {
-        out += &format!("; {detail}");
-    }
-    if core.paused {
-        out += "; parked for recovery resume";
-    }
-    out.push(')');
-    Some(out)
+/// One completed step in a rank's time ledger. Steps cut short by a
+/// failover are not recorded; a full restart clears the ledger.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct LedgerEntry {
+    /// The program stage.
+    pub stage: usize,
+    /// The step within the stage.
+    pub step: usize,
+    /// The step's phase name.
+    pub phase: &'static str,
+    /// What the step was.
+    pub span: Span,
+    /// Its wall time.
+    pub wall: SimDuration,
 }
 
-/// The one event prologue of every driver.
-fn handle<D: Driver>(d: &mut D, ev: Box<dyn Any>, ctx: &mut Ctx) {
-    // Unwrap an event this host already deferred once.
-    let ev = match ev.downcast::<Deferred>() {
-        Ok(deferred) => deferred.0,
-        Err(ev) => ev,
-    };
-    // A stalled host services nothing: kernel completions, NIC
-    // interrupts and failure notices all wait for the window's end.
-    let core = d.core();
-    if let Some(release) = core.fault_ctl.stalls.deferral(ctx.now()) {
-        ctx.stats()[core.counters.stall_deferrals].inc();
-        ctx.self_in(release.since(ctx.now()), Deferred(ev));
-        return;
+/// Self event closing a charged host-compute window, tagged with the
+/// failover epoch that armed it: a failover bumps the epoch and
+/// restarts the program, so a timer from the abandoned attempt is
+/// dropped instead of firing into the new one.
+struct Timer(u64);
+
+/// The one driver component: a [`Rank`] running a [`Program`].
+pub(crate) struct DriverCore<P: Program> {
+    rank: Rank,
+    prog: P,
+    /// The stage in progress, and the step within it.
+    stage: usize,
+    step: usize,
+    /// When the step in progress began.
+    step_started: SimTime,
+    /// The phase the rank reports, and when it entered it.
+    phase: &'static str,
+    entered: SimTime,
+    done: bool,
+    /// Checkpoint `k` at index `k` (`1..stages`): the program's
+    /// snapshot after stage `k - 1` completed. Empty until the first
+    /// capture; a resume leaves later checkpoints in place.
+    ckpts: Vec<Option<P::Snapshot>>,
+    /// Every completed charge window and exchange.
+    ledger: Vec<LedgerEntry>,
+}
+
+impl<P: Program> DriverCore<P> {
+    /// Rank `rank` running `prog` over `attachment`.
+    pub(crate) fn new(rank: usize, attachment: Attachment, prog: P) -> DriverCore<P> {
+        let label = format!("{}{rank}", P::NAME);
+        DriverCore {
+            rank: Rank::new(label, rank, attachment, prog.exchanges()),
+            prog,
+            stage: 0,
+            step: 0,
+            step_started: SimTime::ZERO,
+            phase: "init",
+            entered: SimTime::ZERO,
+            done: false,
+            ckpts: Vec::new(),
+            ledger: Vec::new(),
+        }
     }
-    if ev.is::<()>() {
-        match core.attachment {
-            Attachment::Inic { card, .. } => {
-                let bitstream = d.bitstream();
-                ctx.send_now(card, InicConfigure { bitstream });
+
+    /// Attach fault-handling configuration (builder style).
+    #[must_use]
+    pub(crate) fn with_fault_ctl(mut self, ctl: FaultCtl) -> DriverCore<P> {
+        self.rank.fault_ctl = ctl;
+        self
+    }
+
+    /// The rank's shared state.
+    pub(crate) fn rank(&self) -> &Rank {
+        &self.rank
+    }
+
+    /// The finished program.
+    ///
+    /// # Panics
+    /// If the rank has not finished.
+    pub(crate) fn program(&self) -> &P {
+        assert!(self.done, "{}: driver not finished", self.rank.label);
+        &self.prog
+    }
+
+    /// Phase snapshot for the liveness layer.
+    pub(crate) fn progress(&self) -> DriverProgress {
+        DriverProgress {
+            rank: self.rank.rank,
+            phase: self.phase,
+            entered: self.entered,
+            paused: self.rank.paused,
+            done: self.done,
+        }
+    }
+
+    /// Total wall time of the ledger entries `pick` selects.
+    pub(crate) fn time(&self, pick: impl Fn(&LedgerEntry) -> bool) -> SimDuration {
+        self.ledger
+            .iter()
+            .filter(|e| pick(e))
+            .fold(SimDuration::ZERO, |t, e| t + e.wall)
+    }
+
+    /// Highest checkpoint this rank can resume from (the stage count
+    /// once done), reported to the coordinator.
+    fn completed_phase(&self) -> u32 {
+        if self.done {
+            return self.prog.stages() as u32;
+        }
+        self.ckpts.iter().rposition(Option::is_some).unwrap_or(0) as u32
+    }
+
+    /// (Re)start at `stage` from `snapshot` (the input when `None`).
+    fn start(&mut self, stage: usize, snapshot: Option<P::Snapshot>, ctx: &mut Ctx) {
+        let now = ctx.now();
+        self.rank.started_at.get_or_insert(now);
+        self.entered = now;
+        self.done = false;
+        self.prog.restore(&self.rank, snapshot);
+        self.stage = stage;
+        self.step = 0;
+        self.advance(ctx);
+    }
+
+    /// Run steps until one waits on a charge window or the network, or
+    /// the program ends. An exchange that is already complete when it
+    /// opens, and a stage with no steps left, fall through at once.
+    fn advance(&mut self, ctx: &mut Ctx) {
+        let stages = self.prog.stages();
+        while self.stage < stages {
+            let Some(step) = self.prog.step(&self.rank, self.stage, self.step) else {
+                self.stage += 1;
+                self.step = 0;
+                if self.stage < stages && self.rank.ckpt_armed() {
+                    if self.ckpts.is_empty() {
+                        self.ckpts.resize_with(stages, || None);
+                    }
+                    self.ckpts[self.stage] = Some(self.prog.snapshot());
+                }
+                continue;
+            };
+            let now = ctx.now();
+            self.step_started = now;
+            let (Step::Charge { phase, .. } | Step::Exchange { phase, .. }) = step;
+            if phase != self.phase {
+                self.phase = phase;
+                self.entered = now;
             }
-            Attachment::Tcp { .. } => d.begin(ctx),
+            match step {
+                Step::Charge { time, .. } => {
+                    ctx.self_in(time, Timer(self.rank.epoch));
+                    return;
+                }
+                Step::Exchange { plan, .. } => {
+                    let index = self.prog.exchange_index(self.stage);
+                    self.rank.issue(index, plan, ctx);
+                    match self.rank.xchg.take_complete() {
+                        Some(done) => self.close_exchange(done, now),
+                        None => return,
+                    }
+                }
+            }
         }
-        return;
+        self.done = true;
+        self.phase = "done";
+        self.entered = ctx.now();
+        self.rank.mark_done(ctx);
     }
-    if let Some(cf) = ev.downcast_ref::<CardFailed>() {
-        let node = cf.node as usize;
-        return match core.fault_ctl.coordinator {
-            None => full_restart_failover(d, node, ctx),
-            Some(coord) => rank_local_failover(d, node, coord, ctx),
+
+    /// Record the step in progress in the ledger and move past it.
+    fn close_step(&mut self, span: Span, now: SimTime) {
+        self.ledger.push(LedgerEntry {
+            stage: self.stage,
+            step: self.step,
+            phase: self.phase,
+            span,
+            wall: now.since(self.step_started),
+        });
+        self.step += 1;
+    }
+
+    /// The open exchange completed: hand it to the program.
+    fn close_exchange(&mut self, done: ExchangeDone, now: SimTime) {
+        self.prog.on_exchange(&self.rank, done);
+        self.close_step(Span::Exchange, now);
+    }
+
+    /// Continue past the open exchange if it completed.
+    fn poll(&mut self, ctx: &mut Ctx) {
+        if let Some(done) = self.rank.xchg.take_complete() {
+            self.close_exchange(done, ctx.now());
+            self.advance(ctx);
+        }
+    }
+
+    /// Restore checkpoint `k` (0 = the input) and continue from stage
+    /// `k`. Ranks that already finished rejoin: peers re-running earlier
+    /// stages need their messages, and the lockstep determinism makes
+    /// the re-run bit-identical.
+    fn resume(&mut self, k: u32, ctx: &mut Ctx) {
+        let k = k as usize;
+        if k >= self.prog.stages() {
+            return; // every rank had already finished
+        }
+        let snapshot = (k > 0).then(|| {
+            self.ckpts.get(k).cloned().flatten().unwrap_or_else(|| {
+                panic!(
+                    "{}: resume phase {k} without its checkpoint",
+                    self.rank.label
+                )
+            })
+        });
+        self.start(k, snapshot, ctx);
+    }
+
+    /// The whole cluster degrades together ([`RecoveryPolicy::FullRestart`],
+    /// and any run without a coordinator): every rank drops its card —
+    /// even a healthy one, peers can no longer reach every rank through
+    /// the INIC path — and restarts from its retained input over the
+    /// commodity fallback NIC. Only the original start instant survives.
+    /// Checkpoints are armed only with a coordinator, so there are none
+    /// to forget.
+    fn full_restart(&mut self, node: usize, ctx: &mut Ctx) {
+        let rank = &mut self.rank;
+        if rank.failed_over || matches!(rank.attachment, Attachment::Tcp { .. }) {
+            return; // a second card death changes nothing
+        }
+        // The restart forgets every buffered leg along with the exchange.
+        let stream = std::mem::take(&mut rank.xchg).abort();
+        self.prog.before_full_restart(&self.rank, node, stream, ctx);
+        self.ledger.clear();
+        self.rank.fail_over(ctx);
+        self.rank.epoch += 1;
+        self.start(0, None, ctx);
+    }
+
+    /// Rank-local degradation: only the dead rank abandons its card.
+    /// Every rank pauses, healthy ranks tell their cards to forget the
+    /// dead peer (and abort the in-flight stream, if any), and every
+    /// rank reports its highest completed checkpoint to the coordinator,
+    /// which answers with the cluster-wide resume phase.
+    fn rank_local_failover(&mut self, node: usize, coord: ComponentId, ctx: &mut Ctx) {
+        let phase = self.completed_phase();
+        let rank = &mut self.rank;
+        if !rank.dead.insert(node) {
+            return; // duplicate death notice
+        }
+        let abort_stream = rank.xchg.abort();
+        rank.epoch += 1;
+        rank.paused = true;
+        if rank.rank == node {
+            rank.fail_over(ctx);
+        } else if let Attachment::Inic { card, macs, .. } = &rank.attachment {
+            let dead = macs[node];
+            ctx.send_now(*card, InicRecover { dead, abort_stream });
+        }
+        let report = RecoveryReport {
+            rank: rank.rank as u32,
+            round: rank.epoch,
+            phase,
         };
+        ctx.send_in(RECOVERY_LATENCY, coord, report);
     }
-    if let Some(r) = ev.downcast_ref::<ResumeAt>() {
-        return on_resume_at(d, *r, ctx);
+
+    /// Coordinator verdict: restore the agreed checkpoint and resume.
+    fn on_resume_at(&mut self, r: ResumeAt, ctx: &mut Ctx) {
+        let rank = &mut self.rank;
+        if r.round != rank.epoch {
+            return; // a newer failure superseded this round
+        }
+        if !rank.configured && matches!(rank.attachment, Attachment::Inic { .. }) {
+            // The failure landed inside the card's configuration window.
+            // Every INIC phase needs a usable card, so the rank stays
+            // paused (buffering whatever arrives) until the bitstream
+            // lands, then replays this verdict.
+            rank.pending_resume = Some(r);
+            return;
+        }
+        rank.paused = false;
+        rank.resumed_from = Some(r.phase);
+        ctx.stats()[rank.counters.phase_resumes].inc();
+        self.resume(r.phase, ctx);
     }
-    if let Some(cfg) = ev.downcast_ref::<InicConfigured>() {
-        let core = d.core_mut();
-        if core.failed_over {
-            return; // the card answered just before it died
+}
+
+impl<P: Program> Component for DriverCore<P> {
+    /// The one event prologue: stall deferral, start/configure, the
+    /// card-failure protocol, timers and the exchange events.
+    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+        // Unwrap an event this host already deferred once.
+        let ev = match ev.downcast::<Deferred>() {
+            Ok(deferred) => deferred.0,
+            Err(ev) => ev,
+        };
+        // A stalled host services nothing: kernel completions, NIC
+        // interrupts and failure notices all wait for the window's end.
+        if let Some(release) = self.rank.fault_ctl.stalls.deferral(ctx.now()) {
+            ctx.stats()[self.rank.counters.stall_deferrals].inc();
+            ctx.self_in(release.since(ctx.now()), Deferred(ev));
+            return;
         }
-        if let Err(e) = &cfg.result {
-            panic!("{}: bitstream rejected: {e}", core.label);
+        if ev.is::<()>() {
+            match self.rank.attachment {
+                Attachment::Inic { card, .. } => {
+                    let bitstream = self.prog.bitstream(&self.rank);
+                    ctx.send_now(card, InicConfigure { bitstream });
+                }
+                Attachment::Tcp { .. } => self.start(0, None, ctx),
+            }
+            return;
         }
-        core.configured = true;
-        if let Some(r) = core.pending_resume.take() {
-            // A failover interrupted the configuration; run the
-            // deferred resume instead of a fresh start.
-            on_resume_at(d, r, ctx);
-        } else if !core.paused {
-            // A failure reported but not yet resumed keeps the rank
-            // parked: the coordinator's verdict starts it.
-            d.begin(ctx);
+        if let Some(cf) = ev.downcast_ref::<CardFailed>() {
+            let node = cf.node as usize;
+            return match self.rank.fault_ctl.coordinator {
+                None => self.full_restart(node, ctx),
+                Some(coord) => self.rank_local_failover(node, coord, ctx),
+            };
         }
-        return;
-    }
-    let ev = match ev.downcast::<Timer<D::Step>>() {
-        Ok(timer) => {
-            let Timer(epoch, step) = *timer;
-            if epoch == d.core().epoch {
-                d.on_step(step, ctx);
+        if let Some(r) = ev.downcast_ref::<ResumeAt>() {
+            return self.on_resume_at(*r, ctx);
+        }
+        if let Some(cfg) = ev.downcast_ref::<InicConfigured>() {
+            let rank = &mut self.rank;
+            if rank.failed_over {
+                return; // the card answered just before it died
+            }
+            if let Err(e) = &cfg.result {
+                panic!("{}: bitstream rejected: {e}", rank.label);
+            }
+            rank.configured = true;
+            if let Some(r) = rank.pending_resume.take() {
+                // A failover interrupted the configuration; run the
+                // deferred resume instead of a fresh start.
+                self.on_resume_at(r, ctx);
+            } else if !rank.paused {
+                // A failure reported but not yet resumed keeps the rank
+                // parked: the coordinator's verdict starts it.
+                self.start(0, None, ctx);
+            }
+            return;
+        }
+        if let Some(&Timer(epoch)) = ev.downcast_ref::<Timer>() {
+            if epoch == self.rank.epoch {
+                self.close_step(Span::Charge, ctx.now());
+                self.advance(ctx);
             } // else: a timer from an abandoned attempt
             return;
         }
-        Err(ev) => ev,
-    };
-    let core = d.core_mut();
-    let ev = match ev.downcast::<TcpDelivered>() {
-        Ok(dlv) => {
-            let TcpDelivered { peer, chan, data } = *dlv;
-            let src = core
-                .attachment
-                .resolve_src(peer)
-                .expect("delivery from an unknown MAC");
-            core.xchg.buffer(src, chan, data);
-            return poll(d, ctx);
-        }
-        Err(ev) => ev,
-    };
-    let ev = match ev.downcast::<InicGatherComplete>() {
-        Ok(g) => {
-            if core.xchg.gathered(*g, core.epoch) {
-                poll(d, ctx);
+        let rank = &mut self.rank;
+        let ev = match ev.downcast::<TcpDelivered>() {
+            Ok(dlv) => {
+                let TcpDelivered { peer, chan, data } = *dlv;
+                let src = rank
+                    .attachment
+                    .resolve_src(peer)
+                    .expect("delivery from an unknown MAC");
+                rank.xchg.buffer(src, chan, data);
+                return self.poll(ctx);
             }
-            return;
+            Err(ev) => ev,
+        };
+        let ev = match ev.downcast::<InicGatherComplete>() {
+            Ok(g) => {
+                if rank.xchg.gathered(*g, rank.epoch) {
+                    self.poll(ctx);
+                }
+                return;
+            }
+            Err(ev) => ev,
+        };
+        match ev.downcast_ref::<InicScatterDone>() {
+            Some(s) if rank.xchg.scattered(s.stream) => self.poll(ctx),
+            Some(_) => {} // not awaited, or a stale epoch's
+            None => panic!("{}: unknown event", rank.label),
         }
-        Err(ev) => ev,
-    };
-    match ev.downcast_ref::<InicScatterDone>() {
-        Some(s) if core.xchg.scattered(s.stream) => poll(d, ctx),
-        Some(_) => {} // not awaited, or a stale epoch's
-        None => panic!("{}: unknown event", core.label),
     }
-}
 
-/// The whole cluster degrades together ([`RecoveryPolicy::FullRestart`],
-/// and any run without a coordinator): every rank drops its card — even
-/// a healthy one, peers can no longer reach every rank through the INIC
-/// path — and restarts from its retained input over the commodity
-/// fallback NIC. Only the original start instant survives.
-fn full_restart_failover<D: Driver>(d: &mut D, node: usize, ctx: &mut Ctx) {
-    let core = d.core_mut();
-    if core.failed_over || matches!(core.attachment, Attachment::Tcp { .. }) {
-        return; // a second card death changes nothing
+    fn name(&self) -> &str {
+        &self.rank.label
     }
-    // The restart forgets every buffered leg along with the exchange.
-    let stream = std::mem::take(&mut core.xchg).abort();
-    d.reset(node, stream, ctx);
-    let core = d.core_mut();
-    core.fail_over(ctx);
-    core.epoch += 1;
-    d.begin(ctx);
-}
 
-/// Rank-local degradation: only the dead rank abandons its card. Every
-/// rank pauses, healthy ranks tell their cards to forget the dead peer
-/// (and abort the in-flight stream, if any), and every rank reports its
-/// highest completed checkpoint to the coordinator, which answers with
-/// the cluster-wide resume phase.
-fn rank_local_failover<D: Driver>(d: &mut D, node: usize, coord: ComponentId, ctx: &mut Ctx) {
-    if !d.core_mut().dead.insert(node) {
-        return; // duplicate death notice
+    fn register_stats(&mut self, stats: &mut StatsRegistry) {
+        let rank = &mut self.rank;
+        rank.counters = DriverCounters::register(stats, &rank.label);
+        rank.drivers_done = stats.register_counter("cluster", "drivers_done");
     }
-    let core = d.core_mut();
-    let abort_stream = core.xchg.abort();
-    core.epoch += 1;
-    core.paused = true;
-    if core.rank == node {
-        core.fail_over(ctx);
-    } else if let Attachment::Inic { card, macs, .. } = &core.attachment {
-        let dead = macs[node];
-        ctx.send_now(*card, InicRecover { dead, abort_stream });
-    }
-    let report = RecoveryReport {
-        rank: core.rank as u32,
-        round: core.epoch,
-        phase: d.completed_phase(),
-    };
-    ctx.send_in(RECOVERY_LATENCY, coord, report);
-}
 
-/// Coordinator verdict: restore the agreed checkpoint and resume.
-fn on_resume_at<D: Driver>(d: &mut D, r: ResumeAt, ctx: &mut Ctx) {
-    let core = d.core_mut();
-    if r.round != core.epoch {
-        return; // a newer failure superseded this round
+    /// Rank, phase, epoch, what the open exchange still waits for, and
+    /// the program's detail.
+    fn wait_state(&self) -> Option<String> {
+        if self.done {
+            return None;
+        }
+        let rank = &self.rank;
+        let mut out = format!(
+            "rank {} in {} since {} (epoch {}{}",
+            rank.rank,
+            self.phase,
+            self.entered,
+            rank.epoch,
+            rank.xchg.describe()
+        );
+        if let Some(detail) = self.prog.wait_detail(rank, self.stage, self.step) {
+            out += &format!("; {detail}");
+        }
+        if rank.paused {
+            out += "; parked for recovery resume";
+        }
+        out.push(')');
+        Some(out)
     }
-    if !core.configured && matches!(core.attachment, Attachment::Inic { .. }) {
-        // The failure landed inside the card's configuration window.
-        // Every INIC phase needs a usable card, so the rank stays
-        // paused (buffering whatever arrives) until the bitstream
-        // lands, then replays this verdict.
-        core.pending_resume = Some(r);
-        return;
-    }
-    core.paused = false;
-    core.resumed_from = Some(r.phase);
-    ctx.stats()[core.counters.phase_resumes].inc();
-    d.resume(r.phase, ctx);
 }
 
 /// Cluster-attached failover coordinator: gathers one
@@ -970,6 +1200,7 @@ pub fn recv_buckets_for(keys_per_node: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::DeadlineHierarchy;
 
     /// Open exchange `index` of `exchanges` in `epoch` on `x`, waiting
     /// for `legs` only.
@@ -1091,6 +1322,284 @@ mod tests {
         };
         assert!(!x.gathered(stale, 1), "epoch 0's gather is dropped");
         assert_eq!(x.abort(), Some(3), "the epoch-1 gather is outstanding");
+    }
+
+    /// A toy two-stage program: stage `s` is one charge of 1 µs named
+    /// `PHASES[s]`, and bumps `value` as it starts.
+    struct Toy {
+        value: u32,
+        restores: Vec<Option<u32>>,
+    }
+
+    impl Toy {
+        const PHASES: [&'static str; 2] = ["one", "two"];
+    }
+
+    impl Program for Toy {
+        type Snapshot = u32;
+        const NAME: &'static str = "toy";
+
+        fn stages(&self) -> usize {
+            2
+        }
+
+        fn exchanges(&self) -> usize {
+            2
+        }
+
+        fn bitstream(&self, _rank: &Rank) -> Bitstream {
+            Bitstream::protocol_only()
+        }
+
+        fn step(&mut self, _rank: &Rank, stage: usize, step: usize) -> Option<Step> {
+            (step == 0).then(|| {
+                self.value += 1;
+                Step::Charge {
+                    phase: Toy::PHASES[stage],
+                    time: SimDuration::from_micros(1),
+                }
+            })
+        }
+
+        fn on_exchange(&mut self, _rank: &Rank, _done: ExchangeDone) {
+            unreachable!("the toy runs no exchanges")
+        }
+
+        fn snapshot(&self) -> u32 {
+            self.value
+        }
+
+        fn restore(&mut self, _rank: &Rank, snapshot: Option<u32>) {
+            self.restores.push(snapshot);
+            self.value = snapshot.unwrap_or(0);
+        }
+    }
+
+    /// Swallows the toy's recovery reports.
+    struct Sink;
+
+    impl Component for Sink {
+        fn handle(&mut self, _ev: Box<dyn Any>, _ctx: &mut Ctx) {}
+
+        fn name(&self) -> &str {
+            "sink"
+        }
+    }
+
+    fn at_us(us: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    /// A toy rank on TCP, with checkpoints armed when `armed`, started
+    /// at t = 0.
+    fn toy_sim(armed: bool) -> (acc_sim::Simulation, ComponentId) {
+        let mut sim = acc_sim::Simulation::new(1);
+        let id = sim.reserve_id();
+        let coordinator = armed.then(|| sim.add(Sink));
+        let attachment = Attachment::Tcp {
+            nic: id,
+            macs: vec![MacAddr::for_node(0, 0), MacAddr::for_node(1, 0)],
+        };
+        let toy = Toy {
+            value: 0,
+            restores: Vec::new(),
+        };
+        let ctl = FaultCtl {
+            coordinator,
+            ..FaultCtl::default()
+        };
+        sim.register(id, DriverCore::new(0, attachment, toy).with_fault_ctl(ctl));
+        sim.schedule_at(SimTime::ZERO, id, ());
+        (sim, id)
+    }
+
+    #[test]
+    fn snapshots_are_taken_only_when_armed() {
+        for armed in [false, true] {
+            let (mut sim, id) = toy_sim(armed);
+            sim.run_until(at_us(1));
+            let d = sim.component::<DriverCore<Toy>>(id);
+            assert_eq!((d.stage, d.phase), (1, "two"), "stage 0 closed at 1 µs");
+            assert_eq!(d.completed_phase(), u32::from(armed));
+            let want = if armed {
+                vec![None, Some(1)]
+            } else {
+                Vec::new()
+            };
+            assert_eq!(d.ckpts, want);
+            sim.run();
+            let d = sim.component::<DriverCore<Toy>>(id);
+            assert!(d.progress().done && d.rank.done_at == Some(at_us(2)));
+            assert_eq!(d.completed_phase(), 2, "done reports every stage");
+            assert_eq!(
+                d.ckpts.len(),
+                if armed { 2 } else { 0 },
+                "none after the last"
+            );
+            let phases: Vec<_> = d
+                .ledger
+                .iter()
+                .map(|e| (e.stage, e.step, e.phase))
+                .collect();
+            assert_eq!(phases, vec![(0, 0, "one"), (1, 0, "two")]);
+            assert_eq!(
+                d.time(|e| e.span == Span::Charge),
+                SimDuration::from_micros(2)
+            );
+        }
+    }
+
+    #[test]
+    fn resume_restores_its_checkpoint_and_stale_timers_are_dropped() {
+        let (mut sim, id) = toy_sim(true);
+        // A card death mid-stage 1 (rank 1's card): the rank parks and
+        // its epoch-0 timer, due at 2 µs, must not close the new attempt.
+        sim.schedule_at(
+            at_us(1) + SimDuration::from_nanos(500),
+            id,
+            CardFailed { node: 1 },
+        );
+        sim.schedule_at(at_us(3), id, ResumeAt { round: 1, phase: 1 });
+        sim.run_until(at_us(2));
+        let d = sim.component::<DriverCore<Toy>>(id);
+        assert!(d.progress().paused && !d.progress().done);
+        assert_eq!(d.ledger.len(), 1, "the stale timer closed nothing");
+        assert_eq!(d.step, 0, "stage 1 is still at its first step");
+        sim.run();
+        let d = sim.component::<DriverCore<Toy>>(id);
+        assert_eq!(
+            d.prog.restores,
+            vec![None, Some(1)],
+            "checkpoint 1 restored"
+        );
+        assert_eq!(d.prog.value, 2);
+        assert_eq!(d.rank.resumed_from(), Some(1));
+        assert!(d.progress().done && d.rank.done_at == Some(at_us(4)));
+        let walls: Vec<_> = d.ledger.iter().map(|e| (e.stage, e.wall)).collect();
+        let us = SimDuration::from_micros(1);
+        assert_eq!(walls, vec![(0, us), (1, us)], "the resumed stage 1 only");
+    }
+
+    /// Every phase name `prog` reports on `rank`, stepping each stage to
+    /// its end; every exchange completes with `done()`.
+    fn reported_phases<P: Program>(
+        mut prog: P,
+        rank: &Rank,
+        done: impl Fn() -> ExchangeDone,
+    ) -> BTreeSet<&'static str> {
+        prog.restore(rank, None);
+        let mut names = BTreeSet::new();
+        for stage in 0..prog.stages() {
+            let mut step = 0;
+            while let Some(next) = prog.step(rank, stage, step) {
+                match next {
+                    Step::Charge { phase, .. } => names.insert(phase),
+                    Step::Exchange { phase, .. } => {
+                        prog.on_exchange(rank, done());
+                        names.insert(phase)
+                    }
+                };
+                step += 1;
+            }
+        }
+        names
+    }
+
+    /// Rank 0 of two on `mode` (`None`: the commodity NIC).
+    fn rank_on(mode: Option<InicMode>) -> Rank {
+        let id = ComponentId::from_raw(0);
+        let macs = vec![MacAddr::for_node(0, 0), MacAddr::for_node(1, 0)];
+        let attachment = match mode {
+            None => Attachment::Tcp { nic: id, macs },
+            Some(mode) => Attachment::Inic {
+                card: id,
+                macs,
+                mode,
+                fallback: None,
+            },
+        };
+        Rank::new("rank0".into(), 0, attachment, 2)
+    }
+
+    fn gather(data: Vec<u8>, bucket_bounds: Option<Vec<usize>>) -> ExchangeDone {
+        ExchangeDone {
+            gather: Some(InicGatherComplete {
+                stream: 1,
+                data,
+                bucket_bounds,
+            }),
+            legs: Vec::new(),
+        }
+    }
+
+    /// Whether every name is a budget of `h`; `init` and `done`, the
+    /// core's own, are the only names no program step reports.
+    fn assert_budgeted(names: &BTreeSet<&'static str>, h: &DeadlineHierarchy, what: &str) {
+        assert!(!names.is_empty(), "{what} reports no phase");
+        for name in names {
+            assert!(
+                !["init", "done"].contains(name),
+                "{what}: {name} is the core's"
+            );
+            assert!(
+                h.phases.iter().any(|b| b.name == *name),
+                "{what}: phase {name} has no budget"
+            );
+        }
+    }
+
+    #[test]
+    fn every_fft_and_sort_phase_has_a_budget() {
+        use crate::cluster::{ClusterSpec, Technology};
+        use acc_algos::fft::Matrix;
+        use acc_host::HostKernels;
+
+        let (p, rows) = (2, 8);
+        let kernels = HostKernels::athlon_1ghz();
+        let fft = DeadlineHierarchy::for_run(
+            &ClusterSpec::new(p, Technology::GigabitTcp),
+            &crate::Workload::Fft { rows },
+        );
+        let block = (rows / p) * (rows / p) * 16;
+        let slab = (rows / p) * rows * 16;
+        for mode in [
+            None,
+            Some(InicMode::Combined),
+            Some(InicMode::ProtocolProcessor),
+        ] {
+            let done = || match mode {
+                None => ExchangeDone::default(),
+                Some(InicMode::ProtocolProcessor) => {
+                    let bounds = (1..=p).map(|s| s * block).collect();
+                    gather(vec![0; p * block], Some(bounds))
+                }
+                Some(_) => gather(vec![0; slab], None),
+            };
+            let prog = fft::Fft::new(p, rows, Matrix::zeros(rows / p, rows), kernels.clone());
+            let names = reported_phases(prog, &rank_on(mode), done);
+            assert_budgeted(&names, &fft, &format!("fft on {mode:?}"));
+        }
+
+        let spec = ClusterSpec::new(p, Technology::GigabitTcp);
+        let sort =
+            DeadlineHierarchy::for_run(&spec, &crate::RunRequest::sort(spec.clone(), 64).workload);
+        for (variant, mode) in [
+            (sort::SortVariant::HostOnly, None),
+            (sort::SortVariant::InicFull, Some(InicMode::Combined)),
+            (sort::SortVariant::InicTwoPhase, Some(InicMode::Combined)),
+            (
+                sort::SortVariant::ProtocolOnly,
+                Some(InicMode::ProtocolProcessor),
+            ),
+        ] {
+            let done = || match mode {
+                None => ExchangeDone::default(),
+                Some(_) => gather(Vec::new(), Some(vec![0; 16])),
+            };
+            let prog = sort::Sort::new(p, (0..32).collect(), variant, kernels.clone());
+            let names = reported_phases(prog, &rank_on(mode), done);
+            assert_budgeted(&names, &sort, &format!("sort {variant:?}"));
+        }
     }
 
     #[test]

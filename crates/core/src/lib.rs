@@ -21,7 +21,7 @@
 //!   figure regenerators in `acc-bench`.
 //! * [`audit`] — the online invariant Auditor attached to faulted runs:
 //!   conservation checks over the ports' and cards' counters, failing
-//!   at the first violation with a trace-tail dump.
+//!   at the first violation.
 
 #![forbid(unsafe_code)]
 

@@ -56,7 +56,7 @@ pub struct HangReport {
     /// How far past its phase budget the culprit is.
     pub overdue: SimDuration,
     /// The simulation-level report, present when the cause was a
-    /// watchdog abort (wait states, queue head, trace tail).
+    /// watchdog abort (wait states, queue head).
     pub sim: Option<LivenessReport>,
     /// The unfinished ranks' driver wait states at a deadlock, where no
     /// simulation-level report exists: what each rank's open exchange

@@ -23,9 +23,7 @@ fn hang_plan() -> FaultPlan {
 
 #[test]
 fn seeded_outage_hang_is_detected_and_attributed() {
-    let spec = ClusterSpec::new(4, Technology::InicIdeal)
-        .with_fault_plan(hang_plan())
-        .with_quiet(true);
+    let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(hang_plan());
     let outcome = RunRequest::sort(spec, 1 << 12).execute();
     let report = match &outcome {
         RunOutcome::Hung(r) => r,
@@ -50,8 +48,6 @@ fn seeded_outage_hang_is_detected_and_attributed() {
 #[test]
 #[should_panic(expected = "sort run hung\nhang: ")]
 fn hung_outcome_accessor_names_the_workload() {
-    let spec = ClusterSpec::new(4, Technology::InicIdeal)
-        .with_fault_plan(hang_plan())
-        .with_quiet(true);
+    let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(hang_plan());
     RunRequest::sort(spec, 1 << 12).execute().into_sort();
 }

@@ -55,9 +55,11 @@
 //!   every header byte an encode-family fn (`encode`/`try_encode`)
 //!   writes must be read back by the paired `decode` in the same
 //!   `impl`, and vice versa, with numeric (or named-const) offsets
-//!   cross-checked byte-for-byte; a `self.field` written by encode must
-//!   be mentioned by decode. Asymmetric padding contracts carry
-//!   justified allows.
+//!   cross-checked byte-for-byte; decode's reads count on its buffer
+//!   parameter and on local aliases of it (`let bytes =
+//!   frame.as_slice();`). A `self.field` written by encode must be
+//!   mentioned by decode. Asymmetric padding contracts carry justified
+//!   allows.
 //! * **R9** — every growable queue in the simulated component crates
 //!   (a `VecDeque` field, or a `Vec` field named like a queue) must
 //!   show an enforced bound in its file (a `len()` comparison or
@@ -1200,6 +1202,21 @@ fn first_param_name(header: &str) -> Option<String> {
     (!name.is_empty()).then_some(name)
 }
 
+/// The local a `let` on `code` binds to one of `bufs` or a view of it
+/// (`let bytes = frame.as_slice();`, `let b = &frame[..];`): the
+/// initializer must lead with the buffer's name. `None` when the line
+/// binds nothing new.
+fn buffer_alias(code: &str, bufs: &[String]) -> Option<String> {
+    let rest = code.trim_start().strip_prefix("let ")?.trim_start();
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+    let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
+    let init = rest.split_once('=')?.1.trim_start().trim_start_matches('&');
+    let init = init.trim_start().strip_prefix("mut ").unwrap_or(init);
+    let source: String = init.chars().take_while(|&c| is_ident(c)).collect();
+    let aliases = !name.is_empty() && !bufs.contains(&name) && bufs.contains(&source);
+    aliases.then_some(name)
+}
+
 /// Check encode/decode header-byte symmetry for every impl block (and
 /// the file's free functions) that defines both sides. Returns
 /// `(line_idx, message)` findings.
@@ -1261,18 +1278,23 @@ fn r8_codec_symmetry(
                 }
             }
         }
-        // Reads across the decode body, restricted to the input buffer.
+        // Reads across the decode body, restricted to the input buffer
+        // and its local aliases (`let bytes = frame.as_slice();`).
+        let mut bufs: Vec<String> = decode_param.into_iter().collect();
         let mut read_line_of: Vec<(u64, usize)> = Vec::new();
         let mut read_cover: BTreeSet<u64> = BTreeSet::new();
         for idx in decoder.start..=decoder.end.min(lines.len() - 1) {
             if mask[idx] {
                 continue;
             }
+            if let Some(alias) = buffer_alias(&lines[idx].code, &bufs) {
+                bufs.push(alias);
+            }
             for acc in indexed_accesses(&lines[idx].code, syms) {
                 if acc.is_write {
                     continue;
                 }
-                if decode_param.as_deref().is_some_and(|p| p != acc.base) {
+                if !bufs.is_empty() && !bufs.contains(&acc.base) {
                     continue;
                 }
                 for b in acc.lo..acc.hi {

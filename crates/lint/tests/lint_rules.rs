@@ -334,6 +334,22 @@ fn r8_padding_probe_with_allow_is_suppressed() {
 }
 
 #[test]
+fn r8_follows_a_local_alias_of_the_decode_buffer() {
+    // `InicPacket::decode` reads its header through `let bytes =
+    // frame.as_slice();`: a narrowed flags write in encode must show.
+    let mutated = check("r8_inic_alias_violate.rs", "crates/proto/src/inic_wire.rs");
+    assert_eq!(rules_of(&mutated), vec![Rule::R8], "{mutated:?}");
+    assert!(
+        mutated.violations[0].message.contains("bytes 11..12"),
+        "{mutated:?}"
+    );
+    let real = Path::new(env!("CARGO_MANIFEST_DIR")).join("../proto/src/inic_wire.rs");
+    let source = std::fs::read_to_string(&real).expect("the INIC codec is readable");
+    let clean = analyze_source("crates/proto/src/inic_wire.rs", &source);
+    assert!(clean.violations.is_empty(), "{clean:?}");
+}
+
+#[test]
 fn r9_unbounded_queue_flags_at_the_field_decl() {
     let report = check("r9_violate.rs", "crates/net/src/relay.rs");
     let rules = rules_of(&report);

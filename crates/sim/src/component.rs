@@ -7,7 +7,6 @@ use crate::event::EventQueue;
 use crate::rng::SimRng;
 use crate::stats::StatsRegistry;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceBuffer;
 
 /// Opaque handle identifying a registered [`Component`].
 ///
@@ -49,7 +48,7 @@ pub trait Component: Any {
     /// shared RNG, statistics and tracing.
     fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx);
 
-    /// Human-readable name used in traces and stats keys.
+    /// Human-readable name used in liveness reports and stats keys.
     fn name(&self) -> &str;
 
     /// One-line description of what this component is currently waiting
@@ -76,7 +75,6 @@ pub struct Ctx<'a> {
     pub(crate) queue: &'a mut EventQueue,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) stats: &'a mut StatsRegistry,
-    pub(crate) trace: &'a mut TraceBuffer,
 }
 
 impl Ctx<'_> {
@@ -115,11 +113,6 @@ impl Ctx<'_> {
     /// The statistics registry.
     pub fn stats(&mut self) -> &mut StatsRegistry {
         self.stats
-    }
-
-    /// Record a trace entry attributed to the current component and time.
-    pub fn trace(&mut self, msg: impl Into<String>) {
-        self.trace.record(self.now, self.self_id, msg.into());
     }
 }
 

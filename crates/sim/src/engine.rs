@@ -8,12 +8,11 @@ use crate::liveness::{ComponentWait, HangKind, LivenessReport, Watchdog};
 use crate::rng::SimRng;
 use crate::stats::StatsRegistry;
 use crate::time::SimTime;
-use crate::trace::TraceBuffer;
 
 /// The discrete-event simulation engine.
 ///
-/// Owns all components, the future-event list, the RNG, statistics and the
-/// trace buffer. Scenarios are built in two phases: reserve ids (so
+/// Owns all components, the future-event list, the RNG and statistics.
+/// Scenarios are built in two phases: reserve ids (so
 /// components can be wired to each other before construction), register the
 /// component objects, then seed initial events and [`run`](Self::run).
 pub struct Simulation {
@@ -22,16 +21,11 @@ pub struct Simulation {
     now: SimTime,
     rng: SimRng,
     stats: StatsRegistry,
-    trace: TraceBuffer,
     events_processed: u64,
     /// Safety valve: panic if a scenario exceeds this many events
     /// (default: effectively unlimited). Helps catch livelock bugs such as
     /// two protocol stacks ACKing each other forever.
     event_limit: u64,
-    /// Suppress stderr diagnostics (trace-tail dumps on panics and
-    /// watchdog aborts). Set by harnesses that run many *expected*
-    /// failures, e.g. the fault-plan minimizer testing candidate plans.
-    quiet: bool,
 }
 
 /// Pending-event headroom every engine starts with. Cluster scenarios
@@ -54,30 +48,15 @@ impl Simulation {
             now: SimTime::ZERO,
             rng: SimRng::seed_from(seed),
             stats: StatsRegistry::new(),
-            trace: TraceBuffer::disabled(),
             events_processed: 0,
             event_limit: u64::MAX,
-            quiet: false,
         }
     }
 
-    /// Enable the bounded trace buffer (keeps the most recent `capacity`
-    /// entries).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceBuffer::with_capacity(capacity);
-    }
-
-    /// Set a hard limit on processed events; exceeding it panics with a
-    /// trace dump. Useful in tests to catch event livelock.
+    /// Set a hard limit on processed events; exceeding it panics.
+    /// Useful in tests to catch event livelock.
     pub fn set_event_limit(&mut self, limit: u64) {
         self.event_limit = limit;
-    }
-
-    /// Suppress stderr diagnostics (trace-tail dumps on component panics
-    /// and watchdog aborts). The structured [`LivenessReport`] still
-    /// carries the trace tail; only the eager printing is silenced.
-    pub fn set_quiet(&mut self, quiet: bool) {
-        self.quiet = quiet;
     }
 
     /// Reserve a fresh [`ComponentId`]. The slot must be filled with
@@ -139,11 +118,6 @@ impl Simulation {
         &mut self.stats
     }
 
-    /// The trace buffer (entries only exist if tracing was enabled).
-    pub fn trace(&self) -> &TraceBuffer {
-        &self.trace
-    }
-
     /// Immutable access to a registered component, downcast to `C`.
     ///
     /// Scenario drivers use this after `run()` to pull results out of
@@ -176,8 +150,8 @@ impl Simulation {
     }
 
     /// Deliver one popped event to its component. The failure paths
-    /// (limit breach, unregistered target, traced panics) are outlined
-    /// so this body inlines into the run loops.
+    /// (limit breach, unregistered target) are outlined so this body
+    /// inlines into the run loops.
     #[inline]
     fn dispatch(&mut self, ev: crate::event::ScheduledEvent) {
         debug_assert!(ev.time >= self.now, "event queue produced stale event");
@@ -189,61 +163,25 @@ impl Simulation {
         let Some(component) = self.components[ev.target.index()].as_deref_mut() else {
             unregistered_target(ev.target);
         };
-        if !self.trace.enabled() {
-            // Hot path: the component is borrowed in place (disjoint from
-            // the queue/rng/stats fields Ctx borrows), and a panic simply
-            // unwinds — with no trace buffer there is nothing to dump, so
-            // the catch_unwind landing pad would be pure overhead.
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: ev.target,
-                queue: &mut self.queue,
-                rng: &mut self.rng,
-                stats: &mut self.stats,
-                trace: &mut self.trace,
-            };
-            component.handle(ev.payload, &mut ctx);
-            return;
-        }
-        // Traced path: catch component panics so a failing scenario
-        // assertion can be annotated with the trace tail before
-        // unwinding — the post-mortem surface the trace buffer exists
-        // for.
-        let target = ev.target;
-        let outcome = {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: target,
-                queue: &mut self.queue,
-                rng: &mut self.rng,
-                stats: &mut self.stats,
-                trace: &mut self.trace,
-            };
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                component.handle(ev.payload, &mut ctx);
-            }))
+        // The component is borrowed in place, disjoint from the
+        // queue/rng/stats fields Ctx borrows.
+        let mut ctx = Ctx {
+            now: self.now,
+            self_id: ev.target,
+            queue: &mut self.queue,
+            rng: &mut self.rng,
+            stats: &mut self.stats,
         };
-        if let Err(cause) = outcome {
-            if !self.quiet {
-                eprintln!(
-                    "--- trace tail at failure (t={}, component {:?}) ---\n{}",
-                    self.now,
-                    target,
-                    self.trace.dump_to_string()
-                );
-            }
-            std::panic::resume_unwind(cause);
-        }
+        component.handle(ev.payload, &mut ctx);
     }
 
     /// Livelock breaker, outlined from the dispatch hot path.
     #[cold]
     fn event_limit_breached(&self) -> ! {
-        // acc-lint: allow(R5, reason = "livelock breaker: exceeding the event limit means the scenario will never converge; fail loudly with the trace dump rather than spin forever")
+        // acc-lint: allow(R5, reason = "livelock breaker: exceeding the event limit means the scenario will never converge; fail loudly rather than spin forever")
         panic!(
-            "event limit exceeded ({} events) — likely livelock.\n{}",
-            self.event_limit,
-            self.trace.dump()
+            "event limit exceeded ({} events) — likely livelock",
+            self.event_limit
         );
     }
 
@@ -260,9 +198,7 @@ impl Simulation {
     ///
     /// On a tripped bound this returns a structured [`LivenessReport`]
     /// instead of panicking or looping forever: per-component wait
-    /// states, the queue head, and the trace tail (also dumped to stderr
-    /// unless [`set_quiet`](Self::set_quiet) was called — the same
-    /// post-mortem surface a component panic produces). The clock is
+    /// states and the queue head. The clock is
     /// never advanced past the last committed event, and the guarded
     /// loop itself schedules **no events**, so a run that completes
     /// under `run_guarded` is bit-identical to the same run under
@@ -293,8 +229,7 @@ impl Simulation {
         }
     }
 
-    /// Snapshot the engine's liveness state into a report (and dump the
-    /// trace tail to stderr unless quiet, mirroring the panic path).
+    /// Snapshot the engine's liveness state into a report.
     fn liveness_report(&self, kind: HangKind) -> Box<LivenessReport> {
         let components = self
             .components
@@ -310,22 +245,14 @@ impl Simulation {
                 })
             })
             .collect();
-        let report = Box::new(LivenessReport {
+        Box::new(LivenessReport {
             kind,
             now: self.now,
             events_processed: self.events_processed,
             events_pending: self.queue.len(),
             queue_head: self.queue.peek_head(),
             components,
-            trace_tail: self.trace.dump_to_string(),
-        });
-        if self.trace.enabled() && !self.quiet {
-            eprintln!(
-                "--- trace tail at liveness failure ({kind}, t={}) ---\n{}",
-                self.now, report.trace_tail
-            );
-        }
-        report
+        })
     }
 
     /// Run until the queue empties or `deadline` is reached, whichever is
@@ -403,28 +330,6 @@ mod tests {
         sim.set_event_limit(1000);
         let id = sim.add(Livelock);
         sim.schedule_at(SimTime::ZERO, id, ());
-        sim.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "scenario assertion failed")]
-    fn component_panic_dumps_trace_tail_and_propagates() {
-        struct Asserter;
-        impl Component for Asserter {
-            fn handle(&mut self, _ev: Box<dyn Any>, ctx: &mut Ctx) {
-                ctx.trace("last protocol exchange before the failure");
-                panic!("scenario assertion failed");
-            }
-            fn name(&self) -> &str {
-                "asserter"
-            }
-        }
-        let mut sim = Simulation::new(0);
-        sim.enable_trace(16);
-        let id = sim.add(Asserter);
-        sim.schedule_at(SimTime::ZERO, id, ());
-        // The trace tail goes to stderr on the way out; the panic still
-        // reaches the caller unchanged.
         sim.run();
     }
 
@@ -542,28 +447,6 @@ mod tests {
         assert_eq!(sim.component::<Counter>(id).count, 2);
         assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_millis(2));
         assert_eq!(report.events_pending, 1);
-    }
-
-    #[test]
-    fn guarded_report_carries_trace_tail() {
-        struct Tracer;
-        impl Component for Tracer {
-            fn handle(&mut self, _ev: Box<dyn Any>, ctx: &mut Ctx) {
-                ctx.trace("credit probe retry");
-                ctx.send_now(ctx.self_id(), ());
-            }
-            fn name(&self) -> &str {
-                "tracer"
-            }
-        }
-        let mut sim = Simulation::new(0);
-        sim.enable_trace(8);
-        sim.set_quiet(true);
-        let id = sim.add(Tracer);
-        sim.schedule_at(SimTime::ZERO, id, ());
-        let wd = Watchdog::unlimited().with_stall_events(16);
-        let report = sim.run_guarded(&wd).expect_err("must trip");
-        assert!(report.trace_tail.contains("credit probe retry"));
     }
 
     #[test]

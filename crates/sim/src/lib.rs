@@ -19,8 +19,8 @@
 //!   interrupts) and keeps the borrow checker trivially satisfied.
 //! * **Observability.** A [`stats::StatsRegistry`] collects counters
 //!   and gauges, bumped through handles registered at wiring time; a
-//!   bounded [`trace::TraceBuffer`] records recent events for debugging
-//!   failed scenarios.
+//!   guarded run that trips its [`Watchdog`] returns a structured
+//!   [`LivenessReport`].
 //!
 //! ## Quick example
 //!
@@ -58,7 +58,6 @@ pub mod liveness;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use component::{Component, ComponentId, Ctx};
 pub use engine::Simulation;

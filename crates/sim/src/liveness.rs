@@ -13,9 +13,7 @@
 //! [`crate::Simulation::run_guarded`] converts a tripped bound into a
 //! structured [`LivenessReport`] instead of a panic or an infinite loop.
 //! The report names every component that declares a wait state
-//! ([`crate::Component::wait_state`]), the event-queue head, and the tail
-//! of the [`crate::trace::TraceBuffer`] — the same post-mortem surface a
-//! component panic produces.
+//! ([`crate::Component::wait_state`]) and the event-queue head.
 //!
 //! The guarded loop adds **zero events** to the simulation: it only
 //! observes the queue between steps, so a clean run under `run_guarded`
@@ -126,8 +124,6 @@ pub struct LivenessReport {
     pub queue_head: Option<(SimTime, ComponentId)>,
     /// Every component that declared a wait state.
     pub components: Vec<ComponentWait>,
-    /// Tail of the trace buffer (empty when tracing is disabled).
-    pub trace_tail: String,
 }
 
 impl fmt::Display for LivenessReport {
@@ -148,12 +144,6 @@ impl fmt::Display for LivenessReport {
             writeln!(f, "  waiting components:")?;
             for c in &self.components {
                 writeln!(f, "    {:?} {}: {}", c.id, c.name, c.wait)?;
-            }
-        }
-        if !self.trace_tail.is_empty() {
-            writeln!(f, "  trace tail:")?;
-            for line in self.trace_tail.lines() {
-                writeln!(f, "    {line}")?;
             }
         }
         Ok(())
@@ -196,12 +186,10 @@ mod tests {
                 name: "nic".into(),
                 wait: "2 frames in flight".into(),
             }],
-            trace_tail: "[t] #1 last exchange\n".into(),
         };
         let text = report.to_string();
         assert!(text.contains("event budget exhausted"));
         assert!(text.contains("#7"));
         assert!(text.contains("nic: 2 frames in flight"));
-        assert!(text.contains("last exchange"));
     }
 }

@@ -44,6 +44,17 @@ echo "== perfbench unit tests (the repo benchmark builds against this API)"
 # must fail here rather than when the benchmark is next run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench ledger smoke (every workload's simulated ledger)"
+# Runs every benchmark workload, untraced and traced, and checks each
+# run's simulated ledger against the values recorded in perfbench: a
+# change that moves any workload's simulated time, phase breakdown or
+# fault counters fails here. --seconds 0: no timing loop.
+if ! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 0 > target/perfbench-smoke.log; then
+    grep '^FAILED' target/perfbench-smoke.log
+    exit 1
+fi
+
 echo "== cargo doc --workspace (deny warnings)"
 # --workspace: a bare `cargo doc` documents only the umbrella package,
 # so broken intra-doc links in the member crates would go unnoticed.

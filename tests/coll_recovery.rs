@@ -184,9 +184,7 @@ fn random_fault_plans_yield_correct_data_or_an_attributed_hang() {
     for seed in 0..12u64 {
         let (op, algo) = cells[seed as usize % cells.len()];
         let plan = random_plan(0x5EED_0000 + seed);
-        let spec = ClusterSpec::new(P, Technology::InicIdeal)
-            .with_fault_plan(plan.clone())
-            .with_quiet(true);
+        let spec = ClusterSpec::new(P, Technology::InicIdeal).with_fault_plan(plan.clone());
         let horizon = DeadlineHierarchy::for_run(
             &spec,
             &Workload::Collective {
@@ -247,9 +245,7 @@ fn minimizer_isolates_the_wedging_event_on_a_lockstep_schedule() {
             until: ms(63),
         });
     let wedges = |candidate: &FaultPlan| {
-        let spec = ClusterSpec::new(P, Technology::InicIdeal)
-            .with_fault_plan(candidate.clone())
-            .with_quiet(true);
+        let spec = ClusterSpec::new(P, Technology::InicIdeal).with_fault_plan(candidate.clone());
         RunRequest::collective(spec, CollectiveOp::AllReduce, Algorithm::Ring, ELEMS)
             .execute()
             .is_hung()

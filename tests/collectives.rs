@@ -134,9 +134,7 @@ fn wedged_collective_round_is_attributed_to_phase_and_rank() {
         from: SimTime::ZERO + SimDuration::from_micros(1),
         until: SimTime::ZERO + SimDuration::from_secs(600),
     });
-    let spec = ClusterSpec::new(4, Technology::InicIdeal)
-        .with_fault_plan(plan)
-        .with_quiet(true);
+    let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(plan);
     let outcome =
         RunRequest::collective(spec, CollectiveOp::AllReduce, Algorithm::Ring, 8192).execute();
     let report = match &outcome {

@@ -193,8 +193,7 @@ fn tcp_edge_switch_kill_yields_attributed_partition_report() {
     });
     let spec = ClusterSpec::new(16, Technology::GigabitTcp)
         .with_fabric(FabricSpec::FatTree { k: 4 })
-        .with_fault_plan(plan)
-        .with_quiet(true);
+        .with_fault_plan(plan);
     let outcome =
         RunRequest::collective(spec, CollectiveOp::AllReduce, Algorithm::Ring, ELEMS).execute();
     let RunOutcome::Hung(report) = outcome else {
